@@ -1,4 +1,4 @@
-package engine
+package comm
 
 import (
 	"errors"
@@ -70,20 +70,6 @@ func (b *Board) ObserveParallel(d time.Duration) { b.meter.ObserveParallel(d) }
 // Stats snapshots the communication cost so far.
 func (b *Board) Stats() Stats { return b.meter.Snapshot() }
 
-// BoardPlayers materializes the players' local views for a blackboard
-// protocol run over a throwaway topology built from cfg.
-func BoardPlayers(cfg Config) ([]*SimPlayer, error) {
-	top, err := cfg.Topology()
-	if err != nil {
-		return nil, err
-	}
-	return BoardPlayersOn(top), nil
-}
-
-// BoardPlayersOn materializes the players' local views over the topology's
-// cache.
-func BoardPlayersOn(top *Topology) []*SimPlayer { return simPlayers(top) }
-
 // OneWayResult carries the transcript of a 3-player one-way run.
 type OneWayResult struct {
 	// AliceMsg and BobMsg form the transcript Charlie observes.
@@ -92,37 +78,26 @@ type OneWayResult struct {
 	Stats Stats
 }
 
-// RunOneWay executes the 3-player "extended one-way" model of §4.2.2 over
-// a throwaway topology built from cfg.
+// RunOneWay executes the 3-player "extended one-way" model of §4.2.2:
+// Alice speaks from her input, Bob speaks after seeing Alice's message,
+// and Charlie — who observes the whole transcript — computes the output.
+// cfg must have exactly three inputs (Alice = 0, Bob = 1, Charlie = 2).
 func RunOneWay(
 	cfg Config,
 	alice func(p *SimPlayer) (Msg, error),
 	bob func(p *SimPlayer, aliceMsg Msg) (Msg, error),
 	charlie func(p *SimPlayer, aliceMsg, bobMsg Msg) error,
-) (OneWayResult, error) {
+) (res OneWayResult, err error) {
 	top, err := cfg.Topology()
 	if err != nil {
 		return OneWayResult{}, err
 	}
-	return RunOneWayOn(top, alice, bob, charlie)
-}
-
-// RunOneWayOn executes the 3-player "extended one-way" model of §4.2.2:
-// Alice speaks from her input, Bob speaks after seeing Alice's message,
-// and Charlie — who observes the whole transcript — computes the output.
-// top must have exactly three players (Alice = 0, Bob = 1, Charlie = 2).
-func RunOneWayOn(
-	top *Topology,
-	alice func(p *SimPlayer) (Msg, error),
-	bob func(p *SimPlayer, aliceMsg Msg) (Msg, error),
-	charlie func(p *SimPlayer, aliceMsg, bobMsg Msg) error,
-) (res OneWayResult, err error) {
 	start := time.Now()
 	defer func() { observeSession("oneway", start, res.Stats, nil, nil, err) }()
 	if top.K() != 3 {
 		return OneWayResult{}, errors.New("comm: one-way model requires exactly 3 players")
 	}
-	players := simPlayers(top)
+	players := BoardPlayersOn(top)
 	meter := NewMeter(3)
 
 	am, err := alice(players[0])

@@ -1,15 +1,32 @@
-// Package engine is the unified concurrent protocol runtime behind every
-// communication model in package comm.
+// Package comm implements the communication models of the paper as an
+// in-process message-passing runtime with bit-exact cost accounting.
 //
-// The three models of the paper — coordinator, blackboard, and
-// simultaneous (plus the 3-player one-way model of §4.2.2) — share one
-// substrate here:
+// Four models are provided:
+//
+//   - Run/RunOn: the coordinator model (§2). k player goroutines hold
+//     private inputs and exchange messages with a coordinator over private
+//     links; the coordinator drives rounds and outputs the answer. Cost is
+//     the total number of message bits in both directions.
+//
+//   - RunSimultaneous/RunSimultaneousOn: the simultaneous model. Each
+//     player computes a single message from its input and the shared
+//     randomness; a referee sees only the k messages.
+//
+//   - Board: the blackboard model. Posts are public and their bits are
+//     counted once regardless of audience size.
+//
+//   - RunOneWay: the 3-player "extended one-way" model of §4.2.2 (Alice
+//     and Bob speak, Charlie observes the transcript and answers).
+//
+// All four share one substrate:
 //
 //   - Topology: the per-instance state that is expensive to build and
 //     cheap to share — the players' local graph views (graph.FromEdges
-//     over each input). A Topology is built once per cluster and reused
-//     across every protocol run and Test call; views materialize lazily,
-//     exactly once, and are safe for concurrent readers.
+//     over each input). Views materialize lazily, exactly once, and are
+//     safe for concurrent readers. Protocols that run repeatedly against
+//     one cluster should build a Topology once (Config.Topology or
+//     NewTopology) and use the *On entry points; Config is the throwaway
+//     form.
 //
 //   - Session: one protocol execution over a Topology. A session owns the
 //     transport links, the goroutines, and a Meter; it dies with the run
@@ -22,9 +39,9 @@
 //
 // Coordinator sessions are transport-agnostic: each player's private link
 // is a transport.Conn (in-process channels by default; net.Pipe, TCP
-// loopback, or simulated WAN via Topology.WithTransport or the Over run
-// option), and per-link wire-byte counters sit alongside the bit meter,
-// cross-checked by CheckWire on every successful run.
+// loopback, or simulated WAN via Topology.WithTransport), and per-link
+// wire-byte counters sit alongside the bit meter, cross-checked by
+// CheckWire on every successful run.
 //
 // The coordinator model's Broadcast/Gather/AskAll fan out and fan in
 // concurrently over the links (with a non-blocking fast path on transports
@@ -35,7 +52,11 @@
 // error paths the snapshot is best-effort: a message sent concurrently
 // with a player's failure may be metered even though the player never
 // drained it.
-package engine
+//
+// Every message is a bit string produced by package wire, so the metered
+// cost is exactly the information-theoretic message length the paper's
+// bounds speak about.
+package comm
 
 import (
 	"errors"
@@ -45,8 +66,7 @@ import (
 	"tricomm/internal/xrand"
 )
 
-// Sentinel errors for the coordinator model. The messages keep the "comm:"
-// prefix because package comm is the public face of this runtime.
+// Sentinel errors for the coordinator model.
 var (
 	// ErrShutdown is returned from Player.Recv when the coordinator has
 	// finished and the cluster is shutting down gracefully. Player loops

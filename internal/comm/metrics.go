@@ -1,4 +1,4 @@
-package engine
+package comm
 
 import (
 	"time"
@@ -15,6 +15,8 @@ import (
 // The phase label vocabulary is whatever protocols pass to BeginPhase: a
 // closed, code-defined set, so cardinality is bounded by the protocol
 // suite, not by input data.
+//
+// The tricomm_engine_* names are an external interface (CI, perfbench).
 var (
 	mSessions = obs.NewCounterVec("tricomm_engine_sessions_total",
 		"Protocol sessions started, by execution model.", "model")

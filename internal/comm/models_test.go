@@ -151,11 +151,11 @@ func TestBoardInvalidPoster(t *testing.T) {
 }
 
 func TestBoardPlayers(t *testing.T) {
-	cfg := testConfig(3)
-	players, err := BoardPlayers(cfg)
+	top, err := testConfig(3).Topology()
 	if err != nil {
 		t.Fatal(err)
 	}
+	players := BoardPlayersOn(top)
 	if len(players) != 3 {
 		t.Fatalf("players = %d", len(players))
 	}

@@ -1,4 +1,4 @@
-package engine
+package comm
 
 import (
 	"sync"
@@ -116,8 +116,3 @@ func (t *Topology) WithIntraWorkers(n int) *Topology {
 // IntraWorkers reports the raw intra-phase worker request (≤0 means
 // "resolve from the environment at session start").
 func (t *Topology) IntraWorkers() int { return t.intra }
-
-// Config returns the throwaway-config form of the topology.
-func (t *Topology) Config() Config {
-	return Config{N: t.n, Inputs: t.inputs, Shared: t.shared}
-}

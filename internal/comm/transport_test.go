@@ -1,4 +1,4 @@
-package engine
+package comm
 
 import (
 	"context"
@@ -21,7 +21,7 @@ func testDialers() []transport.Dialer {
 	}
 }
 
-// TestRunOnTransportAgnostic is the engine half of the transport contract:
+// TestRunOnTransportAgnostic is the runtime half of the transport contract:
 // the same protocol over the same topology must produce identical Stats —
 // bits, rounds, messages, per-player traffic, and even WireBytes, since
 // every transport frames identically — no matter which transport carries
@@ -46,14 +46,6 @@ func TestRunOnTransportAgnostic(t *testing.T) {
 				t.Fatalf("stats diverged on %s:\n got %+v\nwant %+v", d.Name(), got, base)
 			}
 		})
-	}
-	// The Over option must behave exactly like WithTransport.
-	over, err := RunOn(context.Background(), top, coord, player, Over(transport.Net{TCP: true}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(over, base) {
-		t.Fatalf("Over(tcp) stats diverged:\n got %+v\nwant %+v", over, base)
 	}
 }
 
