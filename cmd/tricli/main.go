@@ -114,11 +114,10 @@ func jobFlags(fs *flag.FlagSet) func() (service.JobSpec, error) {
 			graph.Eps = 0
 		}
 		if *scen != "" {
-			sp, err := scenario.Parse(*scen)
-			if err != nil {
+			var err error
+			if graph, err = service.ParseGraphSpec(*scen); err != nil {
 				return service.JobSpec{}, err
 			}
-			graph = service.GraphSpec{Spec: sp}
 		}
 		return service.JobSpec{
 			Graph:           graph,

@@ -257,6 +257,25 @@ func TestSetRegrow(t *testing.T) {
 	if s.NumWords() != 1 {
 		t.Fatalf("NumWords = %d, want 1", s.NumWords())
 	}
+	s.Add(40)
+	s.Reset(1024) // regrow within capacity: stale stamps must not leak
+	if s.Has(900) || s.Has(40) {
+		t.Fatal("regrown set resurrected a stale member")
+	}
+}
+
+func TestSetPoolRoundTrip(t *testing.T) {
+	s := Get(32)
+	s.Add(5)
+	if !s.Has(5) {
+		t.Fatal("pooled set dropped member")
+	}
+	Put(s)
+	s2 := Get(32)
+	defer Put(s2)
+	if s2.Has(5) {
+		t.Fatal("pooled set leaked members across Get")
+	}
 }
 
 // FuzzIntersectCount cross-checks the popcount kernel against a map

@@ -21,16 +21,17 @@ import (
 )
 
 // Opcodes for the player-side dispatcher. Start at 1 so that a zero
-// opcode is always invalid.
+// opcode is always invalid. Retired opcodes keep a blank slot so the
+// surviving values never shift.
 const (
 	opEdgeQuery uint64 = iota + 1
 	opMinRankIncident
-	opMinRankEdge
+	_
 	opCountMSB
 	opSampleTest
 	opCountTopBits
-	opCollectInduced
-	opCollectCross
+	_
+	_
 	opCollectIncidentSample
 	opCloseVees
 	opCandidateMinRank
@@ -53,18 +54,12 @@ func Handle(p *comm.Player, req comm.Msg) (comm.Msg, error) {
 		return handleEdgeQuery(p, r)
 	case opMinRankIncident:
 		return handleMinRankIncident(p, r)
-	case opMinRankEdge:
-		return handleMinRankEdge(p, r)
 	case opCountMSB:
 		return handleCountMSB(p, r)
 	case opSampleTest:
 		return handleSampleTest(p, r)
 	case opCountTopBits:
 		return handleCountTopBits(p, r)
-	case opCollectInduced:
-		return handleCollectInduced(p, r)
-	case opCollectCross:
-		return handleCollectCross(p, r)
 	case opCollectIncidentSample:
 		return handleCollectIncidentSample(p, r)
 	case opCloseVees:

@@ -31,6 +31,15 @@ func DefaultApprox(tag string) ApproxParams {
 	return ApproxParams{Alpha: 4, Tau: 0.05, Tag: tag}
 }
 
+// minTau is the smallest failure probability the estimator honours; a
+// smaller Tau is treated as minTau. It is what keeps experiments bounded.
+const minTau = 1e-12
+
+// maxExperiments is the largest per-round experiment count a player
+// accepts. It covers experiments at the extreme the coordinator can reach,
+// rounds = math.MaxInt and τ = minTau: ⌈ln(2·2⁶³/10⁻¹²)/0.02⌉ = 3600.
+const maxExperiments = 4096
+
 // experiments returns the per-round experiment count m: by a Chernoff
 // bound, m = O(log(rounds/τ)) experiments separate the stop/continue
 // success rates, whose gap is a constant for α ≥ 4 (see the analysis in
@@ -38,8 +47,11 @@ func DefaultApprox(tag string) ApproxParams {
 // the first guess below true/√α succeeds with rate ≥ 1-e^{-√α}).
 func (p ApproxParams) experiments(rounds int) int {
 	tau := p.Tau
-	if tau <= 0 || tau >= 1 {
+	if !(tau > 0 && tau < 1) {
 		tau = 0.05
+	}
+	if tau < minTau {
+		tau = minTau
 	}
 	if rounds < 1 {
 		rounds = 1
@@ -179,7 +191,7 @@ func sampleRound(ctx context.Context, c *comm.Coordinator, mode countMode, v int
 }
 
 func handleCountMSB(p *comm.Player, r *wire.Reader) (comm.Msg, error) {
-	mode, v, err := readModeVertex(r)
+	mode, v, err := readModeVertex(p, r)
 	if err != nil {
 		return comm.Msg{}, err
 	}
@@ -190,7 +202,7 @@ func handleCountMSB(p *comm.Player, r *wire.Reader) (comm.Msg, error) {
 }
 
 func handleSampleTest(p *comm.Player, r *wire.Reader) (comm.Msg, error) {
-	mode, v, err := readModeVertex(r)
+	mode, v, err := readModeVertex(p, r)
 	if err != nil {
 		return comm.Msg{}, err
 	}
@@ -201,6 +213,9 @@ func handleSampleTest(p *comm.Player, r *wire.Reader) (comm.Msg, error) {
 	m, err := r.ReadUvarint()
 	if err != nil {
 		return comm.Msg{}, fmt.Errorf("%w: %v", ErrBadRequest, err)
+	}
+	if m > maxExperiments {
+		return comm.Msg{}, fmt.Errorf("%w: %d experiments exceeds %d", ErrBadRequest, m, maxExperiments)
 	}
 	guessBits, err := r.ReadUint(64)
 	if err != nil {
@@ -243,7 +258,10 @@ func handleSampleTest(p *comm.Player, r *wire.Reader) (comm.Msg, error) {
 	return comm.FromWriter(&w), nil
 }
 
-func readModeVertex(r *wire.Reader) (countMode, int, error) {
+// readModeVertex decodes the (mode, vertex) request prefix. The vertex
+// stays a uvarint on the wire (modeEdges sends 0), but it must name a
+// vertex of the player's universe.
+func readModeVertex(p *comm.Player, r *wire.Reader) (countMode, int, error) {
 	modeU, err := r.ReadUvarint()
 	if err != nil {
 		return 0, 0, fmt.Errorf("%w: %v", ErrBadRequest, err)
@@ -251,6 +269,9 @@ func readModeVertex(r *wire.Reader) (countMode, int, error) {
 	v, err := r.ReadUvarint()
 	if err != nil {
 		return 0, 0, fmt.Errorf("%w: %v", ErrBadRequest, err)
+	}
+	if v >= uint64(p.N) {
+		return 0, 0, fmt.Errorf("%w: vertex %d out of range [0,%d)", ErrBadRequest, v, p.N)
 	}
 	return countMode(modeU), int(v), nil
 }
@@ -297,7 +318,7 @@ func ApproxDegreeNoDup(ctx context.Context, c *comm.Coordinator, v int, topBits 
 }
 
 func handleCountTopBits(p *comm.Player, r *wire.Reader) (comm.Msg, error) {
-	mode, v, err := readModeVertex(r)
+	mode, v, err := readModeVertex(p, r)
 	if err != nil {
 		return comm.Msg{}, err
 	}
@@ -310,9 +331,9 @@ func handleCountTopBits(p *comm.Player, r *wire.Reader) (comm.Msg, error) {
 	var w wire.Writer
 	w.WriteGamma(uint64(nbits) + 1)
 	if nbits > 0 {
-		keep := int(topBits)
-		if keep > nbits {
-			keep = nbits
+		keep := nbits
+		if topBits < uint64(nbits) {
+			keep = int(topBits)
 		}
 		w.WriteUint(uint64(count)>>uint(nbits-keep), keep)
 	}

@@ -92,7 +92,7 @@ func logN(n int) float64 {
 // IsFullVertex reports whether v is full in g for farness parameter eps
 // (Definition 5): at least an eps/(12·log n) fraction of its incident
 // edges form a set of disjoint triangle-vees. The disjoint-vee family is
-// the greedy maximal matching computed by graph.DisjointVeesAt; each vee
+// the greedy maximal matching counted by graph.DisjointVeeCountAt; each vee
 // accounts for two incident edges.
 func IsFullVertex(g *graph.Graph, v int, eps float64) bool {
 	d := g.Degree(v)
@@ -191,12 +191,12 @@ func Candidates(view *graph.Graph, i, k int) []int {
 // where a fan-out costs more than the scan.
 const minRankSerialBelow = 1024
 
-// MinRankCandidate returns key.MinRank(Candidates(view, i, k)) without
-// materializing the candidate slice: one fused scan over the vertex
-// range, fanned across up to workers goroutines. Before is a strict
-// total order (hash rank with id tie-break), so taking chunk-local
-// minima and folding them in chunk order yields exactly the serial
-// scan's minimum at any worker count.
+// MinRankCandidate returns the element of Candidates(view, i, k) that
+// comes first under key.Before, without materializing the candidate
+// slice: one fused scan over the vertex range, fanned across up to
+// workers goroutines. Before is a strict total order (hash rank with id
+// tie-break), so taking chunk-local minima and folding them in chunk
+// order yields exactly the serial scan's minimum at any worker count.
 func MinRankCandidate(view *graph.Graph, i, k int, key xrand.Key, workers int) (int, bool) {
 	if k < 1 {
 		panic("bucket: MinRankCandidate requires k >= 1")

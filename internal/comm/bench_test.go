@@ -20,13 +20,13 @@ func BenchmarkAskAllRoundTrip(b *testing.B) {
 		_, err := Run(context.Background(), cfg,
 			func(ctx context.Context, c *Coordinator) error {
 				for r := 0; r < 10; r++ {
-					if _, err := c.AskAll(ctx, Ack()); err != nil {
+					if _, err := c.AskAll(ctx, ack()); err != nil {
 						return err
 					}
 				}
 				return nil
 			},
-			ServeLoop(func(p *Player, _ Msg) (Msg, error) { return Ack(), nil }))
+			ServeLoop(func(p *Player, _ Msg) (Msg, error) { return ack(), nil }))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -43,7 +43,7 @@ func BenchmarkSimultaneousRound(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		_, err := RunSimultaneous(context.Background(), cfg,
-			func(p *SimPlayer) (Msg, error) { return Ack(), nil },
+			func(p *SimPlayer) (Msg, error) { return ack(), nil },
 			func(_ *xrand.Shared, msgs []Msg) error { return nil })
 		if err != nil {
 			b.Fatal(err)

@@ -22,6 +22,13 @@ func testConfig(k int) Config {
 	return Config{N: 6, Inputs: inputs, Shared: xrand.New(1)}
 }
 
+// ack is a conventional 1-bit acknowledgement message.
+func ack() Msg {
+	var w wire.Writer
+	w.WriteBit(1)
+	return FromWriter(&w)
+}
+
 func TestMsgRoundTrip(t *testing.T) {
 	var w wire.Writer
 	w.WriteUvarint(777)
@@ -48,11 +55,11 @@ func TestMsgRoundTrip(t *testing.T) {
 
 func TestEmptyAndAck(t *testing.T) {
 	var m Msg
-	if !m.IsEmpty() || m.Bits() != 0 {
+	if m.Bits() != 0 || m.Reader().Remaining() != 0 {
 		t.Fatal("zero Msg not empty")
 	}
-	if Ack().Bits() != 1 {
-		t.Fatalf("Ack bits = %d", Ack().Bits())
+	if ack().Bits() != 1 {
+		t.Fatalf("ack bits = %d", ack().Bits())
 	}
 }
 
@@ -62,7 +69,7 @@ func TestRunRequestReply(t *testing.T) {
 	stats, err := Run(context.Background(), cfg,
 		func(ctx context.Context, c *Coordinator) error {
 			// Ask every player how many edges it holds.
-			replies, err := c.AskAll(ctx, Ack())
+			replies, err := c.AskAll(ctx, ack())
 			if err != nil {
 				return err
 			}
@@ -112,7 +119,7 @@ func TestRunPlayerViews(t *testing.T) {
 	cfg := testConfig(3)
 	_, err := Run(context.Background(), cfg,
 		func(ctx context.Context, c *Coordinator) error {
-			_, err := c.AskAll(ctx, Ack())
+			_, err := c.AskAll(ctx, ack())
 			return err
 		},
 		ServeLoop(func(p *Player, _ Msg) (Msg, error) {
@@ -124,7 +131,7 @@ func TestRunPlayerViews(t *testing.T) {
 					return Msg{}, fmt.Errorf("view missing %v", e)
 				}
 			}
-			return Ack(), nil
+			return ack(), nil
 		}))
 	if err != nil {
 		t.Fatal(err)
@@ -174,7 +181,7 @@ func TestRunPlayerBlockedInSendShutsDown(t *testing.T) {
 				// buffer is full and the send truly blocks — shutdown must
 				// still unblock it.
 				for {
-					err := p.Send(ctx, Ack())
+					err := p.Send(ctx, ack())
 					if err == nil {
 						continue
 					}
@@ -231,7 +238,7 @@ func TestRunPlayerErrorPropagates(t *testing.T) {
 	wantErr := errors.New("player exploded")
 	_, err := Run(context.Background(), cfg,
 		func(ctx context.Context, c *Coordinator) error {
-			_, err := c.AskAll(ctx, Ack())
+			_, err := c.AskAll(ctx, ack())
 			return err
 		},
 		func(ctx context.Context, p *Player) error {
@@ -243,12 +250,12 @@ func TestRunPlayerErrorPropagates(t *testing.T) {
 			}
 			if p.ID == 1 {
 				// Reply first so the coordinator is not left hanging.
-				if err := p.Send(ctx, Ack()); err != nil {
+				if err := p.Send(ctx, ack()); err != nil {
 					return err
 				}
 				return wantErr
 			}
-			return p.Send(ctx, Ack())
+			return p.Send(ctx, ack())
 		})
 	if !errors.Is(err, wantErr) {
 		t.Fatalf("err = %v, want %v", err, wantErr)
@@ -260,7 +267,7 @@ func TestRunCoordinatorErrorPropagates(t *testing.T) {
 	wantErr := errors.New("coordinator exploded")
 	_, err := Run(context.Background(), cfg,
 		func(ctx context.Context, c *Coordinator) error { return wantErr },
-		ServeLoop(func(p *Player, _ Msg) (Msg, error) { return Ack(), nil }))
+		ServeLoop(func(p *Player, _ Msg) (Msg, error) { return ack(), nil }))
 	if !errors.Is(err, wantErr) {
 		t.Fatalf("err = %v, want %v", err, wantErr)
 	}
@@ -289,13 +296,13 @@ func TestMultiRoundProtocol(t *testing.T) {
 	stats, err := Run(context.Background(), cfg,
 		func(ctx context.Context, c *Coordinator) error {
 			for round := 0; round < 3; round++ {
-				if _, err := c.AskAll(ctx, Ack()); err != nil {
+				if _, err := c.AskAll(ctx, ack()); err != nil {
 					return err
 				}
 			}
 			return nil
 		},
-		ServeLoop(func(p *Player, _ Msg) (Msg, error) { return Ack(), nil }))
+		ServeLoop(func(p *Player, _ Msg) (Msg, error) { return ack(), nil }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -314,10 +321,11 @@ func TestPerPlayerAccounting(t *testing.T) {
 			// Talk only to player 0.
 			var w wire.Writer
 			w.WriteUint(0, 10)
-			if _, err := c.Ask(ctx, 0, FromWriter(&w)); err != nil {
+			if err := c.Send(ctx, 0, FromWriter(&w)); err != nil {
 				return err
 			}
-			return nil
+			_, err := c.Recv(ctx, 0)
+			return err
 		},
 		ServeLoop(func(p *Player, _ Msg) (Msg, error) {
 			var w wire.Writer

@@ -43,14 +43,14 @@ func TestTopologyViewCacheReuse(t *testing.T) {
 	var fromRun *graph.Graph
 	_, err := RunOn(context.Background(), top,
 		func(ctx context.Context, c *Coordinator) error {
-			_, err := c.AskAll(ctx, Ack())
+			_, err := c.AskAll(ctx, ack())
 			return err
 		},
 		ServeLoop(func(p *Player, _ Msg) (Msg, error) {
 			if p.ID == 0 {
 				fromRun = p.View
 			}
-			return Ack(), nil
+			return ack(), nil
 		}))
 	if err != nil {
 		t.Fatal(err)
@@ -165,7 +165,7 @@ func TestCancellationMidRound(t *testing.T) {
 		defer close(done)
 		_, runErr = RunOn(ctx, top,
 			func(ctx context.Context, c *Coordinator) error {
-				_, err := c.AskAll(ctx, Ack())
+				_, err := c.AskAll(ctx, ack())
 				return err
 			},
 			func(ctx context.Context, p *Player) error {
@@ -180,7 +180,7 @@ func TestCancellationMidRound(t *testing.T) {
 					<-ctx.Done() // never reply
 					return nil
 				}
-				return p.Send(ctx, Ack())
+				return p.Send(ctx, ack())
 			})
 	}()
 	select {
@@ -211,7 +211,7 @@ func TestGatherUnblocksOnPlayerError(t *testing.T) {
 		defer close(done)
 		_, runErr = RunOn(context.Background(), top,
 			func(ctx context.Context, c *Coordinator) error {
-				_, err := c.AskAll(ctx, Ack())
+				_, err := c.AskAll(ctx, ack())
 				return err
 			},
 			func(ctx context.Context, p *Player) error {
@@ -233,7 +233,7 @@ func TestGatherUnblocksOnPlayerError(t *testing.T) {
 					}
 					return err
 				default:
-					return p.Send(ctx, Ack())
+					return p.Send(ctx, ack())
 				}
 			})
 	}()
@@ -252,18 +252,18 @@ func TestMeterPhaseAttribution(t *testing.T) {
 	stats, err := RunOn(context.Background(), top,
 		func(ctx context.Context, c *Coordinator) error {
 			c.BeginPhase("ping")
-			if _, err := c.AskAll(ctx, Ack()); err != nil {
+			if _, err := c.AskAll(ctx, ack()); err != nil {
 				return err
 			}
 			c.BeginPhase("pong")
-			if _, err := c.AskAll(ctx, Ack()); err != nil {
+			if _, err := c.AskAll(ctx, ack()); err != nil {
 				return err
 			}
 			c.BeginPhase("ping") // resumes the first counter
-			_, err := c.AskAll(ctx, Ack())
+			_, err := c.AskAll(ctx, ack())
 			return err
 		},
-		ServeLoop(func(p *Player, _ Msg) (Msg, error) { return Ack(), nil }))
+		ServeLoop(func(p *Player, _ Msg) (Msg, error) { return ack(), nil }))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +317,7 @@ func TestSimultaneousOnReusesViews(t *testing.T) {
 	_, err := RunSimultaneousOn(context.Background(), top,
 		func(p *SimPlayer) (Msg, error) {
 			seen[p.ID] = p.View
-			return Ack(), nil
+			return ack(), nil
 		},
 		func(_ *xrand.Shared, msgs []Msg) error { return nil })
 	if err != nil {

@@ -83,7 +83,7 @@ func TestRunSimultaneousPlayerError(t *testing.T) {
 			if p.ID == 2 {
 				return Msg{}, wantErr
 			}
-			return Ack(), nil
+			return ack(), nil
 		},
 		func(_ *xrand.Shared, msgs []Msg) error { return nil })
 	if !errors.Is(err, wantErr) {
@@ -95,7 +95,7 @@ func TestRunSimultaneousRefereeError(t *testing.T) {
 	cfg := testConfig(2)
 	wantErr := errors.New("referee boom")
 	_, err := RunSimultaneous(context.Background(), cfg,
-		func(p *SimPlayer) (Msg, error) { return Ack(), nil },
+		func(p *SimPlayer) (Msg, error) { return ack(), nil },
 		func(_ *xrand.Shared, msgs []Msg) error { return wantErr })
 	if !errors.Is(err, wantErr) {
 		t.Fatalf("err = %v, want %v", err, wantErr)
@@ -107,7 +107,7 @@ func TestRunSimultaneousCanceled(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, err := RunSimultaneous(ctx, cfg,
-		func(p *SimPlayer) (Msg, error) { return Ack(), nil },
+		func(p *SimPlayer) (Msg, error) { return ack(), nil },
 		func(_ *xrand.Shared, msgs []Msg) error { return nil })
 	if !errors.Is(err, ErrCanceled) {
 		t.Fatalf("err = %v, want ErrCanceled", err)
@@ -121,7 +121,7 @@ func TestBoardAccounting(t *testing.T) {
 	if err := b.Post(1, FromWriter(&w)); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.Post(CoordinatorID, Ack()); err != nil {
+	if err := b.Post(CoordinatorID, ack()); err != nil {
 		t.Fatal(err)
 	}
 	b.Round()
@@ -132,20 +132,17 @@ func TestBoardAccounting(t *testing.T) {
 	if s.Rounds != 1 {
 		t.Fatalf("rounds = %d", s.Rounds)
 	}
-	if len(b.Posts()) != 2 {
-		t.Fatalf("posts = %d", len(b.Posts()))
-	}
-	if b.Posts()[0].From != 1 || b.Posts()[1].From != CoordinatorID {
-		t.Fatal("post attribution wrong")
+	if s.PerPlayer[1] != 20 || s.PerPlayer[0] != 0 || s.PerPlayer[2] != 0 {
+		t.Fatalf("per-player = %v, want the player post on player 1 only", s.PerPlayer)
 	}
 }
 
 func TestBoardInvalidPoster(t *testing.T) {
 	b := NewBoard(2)
-	if err := b.Post(5, Ack()); err == nil {
+	if err := b.Post(5, ack()); err == nil {
 		t.Fatal("invalid poster accepted")
 	}
-	if err := b.Post(-2, Ack()); err == nil {
+	if err := b.Post(-2, ack()); err == nil {
 		t.Fatal("invalid poster accepted")
 	}
 }
@@ -210,8 +207,8 @@ func TestRunOneWay(t *testing.T) {
 func TestRunOneWayRequiresThreePlayers(t *testing.T) {
 	cfg := testConfig(2)
 	_, err := RunOneWay(cfg,
-		func(p *SimPlayer) (Msg, error) { return Ack(), nil },
-		func(p *SimPlayer, _ Msg) (Msg, error) { return Ack(), nil },
+		func(p *SimPlayer) (Msg, error) { return ack(), nil },
+		func(p *SimPlayer, _ Msg) (Msg, error) { return ack(), nil },
 		func(p *SimPlayer, _, _ Msg) error { return nil })
 	if err == nil {
 		t.Fatal("2-player one-way accepted")
@@ -228,15 +225,15 @@ func TestRunOneWayErrors(t *testing.T) {
 		t.Fatalf("alice error lost: %v", err)
 	}
 	_, err = RunOneWay(cfg,
-		func(p *SimPlayer) (Msg, error) { return Ack(), nil },
+		func(p *SimPlayer) (Msg, error) { return ack(), nil },
 		func(p *SimPlayer, _ Msg) (Msg, error) { return Msg{}, boom },
 		nil)
 	if !errors.Is(err, boom) {
 		t.Fatalf("bob error lost: %v", err)
 	}
 	_, err = RunOneWay(cfg,
-		func(p *SimPlayer) (Msg, error) { return Ack(), nil },
-		func(p *SimPlayer, _ Msg) (Msg, error) { return Ack(), nil },
+		func(p *SimPlayer) (Msg, error) { return ack(), nil },
+		func(p *SimPlayer, _ Msg) (Msg, error) { return ack(), nil },
 		func(p *SimPlayer, _, _ Msg) error { return boom })
 	if !errors.Is(err, boom) {
 		t.Fatalf("charlie error lost: %v", err)

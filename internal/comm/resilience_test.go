@@ -111,7 +111,7 @@ func TestRunOnCancelMidGather(t *testing.T) {
 			ctx, cancel := context.WithCancel(context.Background())
 			gathering := make(chan struct{})
 			coord := func(ctx context.Context, c *Coordinator) error {
-				if err := c.Broadcast(ctx, Ack()); err != nil {
+				if err := c.Broadcast(ctx, ack()); err != nil {
 					return err
 				}
 				close(gathering)

@@ -128,10 +128,10 @@ func TestShutdownOverSocketTransports(t *testing.T) {
 				_, err := RunOn(context.Background(), top.WithTransport(d),
 					func(ctx context.Context, c *Coordinator) error {
 						// Talk one round, then leave without telling anyone.
-						_, err := c.AskAll(ctx, Ack())
+						_, err := c.AskAll(ctx, ack())
 						return err
 					},
-					ServeLoop(func(p *Player, _ Msg) (Msg, error) { return Ack(), nil }))
+					ServeLoop(func(p *Player, _ Msg) (Msg, error) { return ack(), nil }))
 				done <- err
 			}()
 			select {

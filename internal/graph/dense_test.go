@@ -45,7 +45,7 @@ func TestShadowPathEquivalence(t *testing.T) {
 		tris     []Triangle
 		pack     []Triangle
 		vees     []int
-		veesAt   []Vee
+		veesAt   [][3]int
 		triangle Triangle
 		hasTri   bool
 	}
@@ -57,7 +57,7 @@ func TestShadowPathEquivalence(t *testing.T) {
 			vees:  g.DisjointVeeCount(),
 		}
 		for v := 0; v < g.N() && len(s.veesAt) < 64; v++ {
-			s.veesAt = append(s.veesAt, g.DisjointVeesAt(v)...)
+			s.veesAt = append(s.veesAt, veesAt(g, v)...)
 		}
 		s.triangle, s.hasTri = g.FindTriangle()
 		return s
@@ -166,7 +166,6 @@ func TestParallelDeterminism(t *testing.T) {
 			wantCount := g.CountTriangles()
 			wantVees := g.DisjointVeeCount()
 			wantTri, wantOk := g.FindTriangle()
-			wantRep := g.Analyze(true)
 			for workers := 1; workers <= 8; workers++ {
 				if got := g.CountTrianglesN(workers); got != wantCount {
 					t.Fatalf("workers=%d: count %d != %d", workers, got, wantCount)
@@ -181,9 +180,6 @@ func TestParallelDeterminism(t *testing.T) {
 				if ok != wantOk || tri != wantTri {
 					t.Fatalf("workers=%d: witness (%v,%v) != (%v,%v)",
 						workers, tri, ok, wantTri, wantOk)
-				}
-				if rep := g.AnalyzeN(true, workers); rep != wantRep {
-					t.Fatalf("workers=%d: report %+v != %+v", workers, rep, wantRep)
 				}
 			}
 		})
@@ -279,27 +275,5 @@ func TestPackTrianglesAllocs(t *testing.T) {
 	}
 	if n := g.PackTriangleCount(); n != len(g.PackTriangles()) {
 		t.Fatalf("PackTriangleCount %d != len(PackTriangles) %d", n, len(g.PackTriangles()))
-	}
-}
-
-// TestIntraWorkers pins the resolver precedence: explicit > env > 1.
-func TestIntraWorkers(t *testing.T) {
-	t.Setenv(IntraWorkersEnv, "")
-	if got := IntraWorkers(3); got != 3 {
-		t.Fatalf("explicit: %d", got)
-	}
-	if got := IntraWorkers(0); got != 1 {
-		t.Fatalf("default: %d", got)
-	}
-	t.Setenv(IntraWorkersEnv, "5")
-	if got := IntraWorkers(0); got != 5 {
-		t.Fatalf("env: %d", got)
-	}
-	if got := IntraWorkers(2); got != 2 {
-		t.Fatalf("explicit beats env: %d", got)
-	}
-	t.Setenv(IntraWorkersEnv, "bogus")
-	if got := IntraWorkers(0); got != 1 {
-		t.Fatalf("bad env: %d", got)
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"sync"
 
 	"tricomm/internal/bitset"
-	"tricomm/internal/marks"
 )
 
 // This file implements ε-farness machinery. A graph is ε-far from
@@ -73,7 +72,7 @@ var triBufPool = sync.Pool{New: func() any { return new(triBuf) }}
 // equivalence is pinned by TestShadowPathEquivalence against
 // Triangles()-order replay).
 func (g *Graph) packInto(out []Triangle) []Triangle {
-	used := marks.Get(len(g.nbr))
+	used := bitset.Get(len(g.nbr))
 	for u := 0; u < g.n; u++ {
 		au := g.row(u)
 		base := int(g.off[u])
@@ -149,7 +148,7 @@ func (g *Graph) packInto(out []Triangle) []Triangle {
 			}
 		}
 	}
-	marks.Put(used)
+	bitset.Put(used)
 	return out
 }
 
@@ -227,50 +226,4 @@ func (g *Graph) ExactTriangleDistance() int {
 func (g *Graph) IsTriangleFree() bool {
 	_, ok := g.FindTriangle()
 	return !ok
-}
-
-// FarnessReport summarizes the farness structure of a graph for
-// experiment logs.
-type FarnessReport struct {
-	N, M          int
-	AvgDegree     float64
-	Triangles     int64
-	PackingSize   int
-	EpsLowerBound float64
-	DisjointVees  int // Σ_v per-source maximal disjoint vees
-	TriangleEdges int
-	MaxDegree     int
-}
-
-// Analyze computes a FarnessReport. Triangle counting is skipped (set to
-// -1) when the graph has more than maxTriangleWork edges and countAll is
-// false.
-func (g *Graph) Analyze(countAll bool) FarnessReport { return g.AnalyzeN(countAll, 1) }
-
-// AnalyzeN is Analyze with up to workers goroutines fanning the counting
-// kernels (triangle count and per-source vee matchings); the packing
-// stays serial because the greedy is order-dependent. The report is
-// bit-identical to Analyze at any worker count.
-func (g *Graph) AnalyzeN(countAll bool, workers int) FarnessReport {
-	r := FarnessReport{
-		N:         g.n,
-		M:         g.m,
-		AvgDegree: g.AvgDegree(),
-		MaxDegree: g.MaxDegree(),
-	}
-	r.PackingSize = g.PackTriangleCount()
-	if g.m > 0 {
-		r.EpsLowerBound = float64(r.PackingSize) / float64(g.m)
-	}
-	for _, c := range g.DisjointVeeCountN(workers) {
-		r.DisjointVees += c
-	}
-	if countAll {
-		r.Triangles = g.CountTrianglesN(workers)
-		r.TriangleEdges = len(g.TriangleEdges())
-	} else {
-		r.Triangles = -1
-		r.TriangleEdges = -1
-	}
-	return r
 }

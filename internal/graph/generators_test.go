@@ -5,6 +5,15 @@ import (
 	"testing"
 )
 
+// degreeHistogram maps each degree to the number of vertices with it.
+func degreeHistogram(g *Graph) map[int]int {
+	h := make(map[int]int)
+	for v := 0; v < g.N(); v++ {
+		h[g.Degree(v)]++
+	}
+	return h
+}
+
 func TestFarWithDegree(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	cases := []FarParams{
@@ -106,7 +115,7 @@ func TestPlantedDenseCore(t *testing.T) {
 		t.Fatalf("triangles = %d, want %d", got, p.Hubs*p.Pairs)
 	}
 	// Hub degrees 2·Pairs; everything else ≤ 2.
-	hist := g.DegreeHistogram()
+	hist := degreeHistogram(g)
 	if hist[2*p.Pairs] != p.Hubs {
 		t.Fatalf("hub degree histogram: %v", hist)
 	}
@@ -145,7 +154,7 @@ func TestBucketStress(t *testing.T) {
 		t.Fatalf("triangles = %d, want %d", got, want)
 	}
 	// Degree scales present: hubs of degree 2·3^ℓ for each level.
-	hist := g.DegreeHistogram()
+	hist := degreeHistogram(g)
 	for l := 0; l < p.Levels; l++ {
 		deg := 2 * pow3(l)
 		if hist[deg] < p.HubsPer {
@@ -224,7 +233,7 @@ func TestHiddenBlock(t *testing.T) {
 		}
 	}
 	// Block vertices have degree 2A; noise much lower.
-	hist := g.DegreeHistogram()
+	hist := degreeHistogram(g)
 	if hist[2*p.A] < 3*p.A {
 		t.Fatalf("expected %d block vertices of degree %d: %v", 3*p.A, 2*p.A, hist)
 	}

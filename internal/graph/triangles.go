@@ -317,39 +317,15 @@ func (g *Graph) TriangleEdges() []Edge {
 	return out
 }
 
-// Vee is a triangle-vee (Definition 2): two edges {Source,Left} and
-// {Source,Right} whose far endpoints are adjacent, so that
-// {Left, Right} ∈ E closes a triangle.
-type Vee struct {
-	Source, Left, Right int
-}
-
-// IsVee reports whether v is a triangle-vee in g.
-func (g *Graph) IsVee(v Vee) bool {
-	return g.HasEdge(v.Source, v.Left) && g.HasEdge(v.Source, v.Right) &&
-		g.HasEdge(v.Left, v.Right)
-}
-
-// DisjointVeesAt returns a maximal set of pairwise edge-disjoint
-// triangle-vees with source v, computed greedily. The size of any maximal
-// set is at least half the maximum, which suffices everywhere the paper
-// uses "a set of disjoint triangle-vees" (its own arguments are also
-// greedy/counting arguments).
+// DisjointVeeCountAt returns the size of a maximal set of pairwise
+// edge-disjoint triangle-vees (Definition 2) with source v, computed
+// greedily. The size of any maximal set is at least half the maximum,
+// which suffices everywhere the paper uses "a set of disjoint
+// triangle-vees" (its own arguments are also greedy/counting arguments).
 //
 // Two vees at the same source are disjoint iff they share no incident edge
 // of v, i.e. they form a matching on the neighborhood graph
 // H_v = (N(v), {uw : u,w ∈ N(v), uw ∈ E}).
-func (g *Graph) DisjointVeesAt(v int) []Vee {
-	var out []Vee
-	g.disjointVeesAt(v, func(s, l, r int) {
-		out = append(out, Vee{Source: s, Left: l, Right: r})
-	})
-	return out
-}
-
-// DisjointVeeCountAt reports len(DisjointVeesAt(v)) without materializing
-// the vees — the form every counting caller (Definition 5 fullness, the
-// farness report) actually needs.
 func (g *Graph) DisjointVeeCountAt(v int) int {
 	count := 0
 	g.disjointVeesAt(v, func(int, int, int) { count++ })

@@ -119,17 +119,13 @@ func TestTriangleEdges(t *testing.T) {
 	}
 }
 
-func TestVeeDetection(t *testing.T) {
-	g := FromEdges(4, []Edge{{U: 0, V: 1}, {U: 0, V: 2}, {U: 1, V: 2}, {U: 0, V: 3}})
-	if !g.IsVee(Vee{Source: 0, Left: 1, Right: 2}) {
-		t.Fatal("valid vee rejected")
-	}
-	if g.IsVee(Vee{Source: 0, Left: 1, Right: 3}) {
-		t.Fatal("non-closing vee accepted")
-	}
-	if g.IsVee(Vee{Source: 3, Left: 1, Right: 2}) {
-		t.Fatal("vee with missing arm accepted")
-	}
+// veesAt collects the greedy disjoint-vee matching at v as
+// (source, left, right) triples, through the core DisjointVeeCountAt
+// counts.
+func veesAt(g *Graph, v int) [][3]int {
+	var out [][3]int
+	g.disjointVeesAt(v, func(s, l, r int) { out = append(out, [3]int{s, l, r}) })
+	return out
 }
 
 func TestDisjointVeesAtAreDisjointAndValid(t *testing.T) {
@@ -137,20 +133,24 @@ func TestDisjointVeesAtAreDisjointAndValid(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		g := ErdosRenyi(40, 0.3, rng)
 		for v := 0; v < g.N(); v++ {
-			vees := g.DisjointVeesAt(v)
+			vees := veesAt(g, v)
+			if len(vees) != g.DisjointVeeCountAt(v) {
+				t.Fatalf("vertex %d: %d vees, count %d", v, len(vees), g.DisjointVeeCountAt(v))
+			}
 			seen := map[int]bool{}
 			for _, vee := range vees {
-				if !g.IsVee(vee) {
+				src, l, r := vee[0], vee[1], vee[2]
+				if !g.HasEdge(src, l) || !g.HasEdge(src, r) || !g.HasEdge(l, r) {
 					t.Fatalf("invalid vee %v", vee)
 				}
-				if vee.Source != v {
-					t.Fatalf("vee source %d != %d", vee.Source, v)
+				if src != v {
+					t.Fatalf("vee source %d != %d", src, v)
 				}
-				if seen[vee.Left] || seen[vee.Right] {
+				if seen[l] || seen[r] {
 					t.Fatalf("vees at %d share an arm", v)
 				}
-				seen[vee.Left] = true
-				seen[vee.Right] = true
+				seen[l] = true
+				seen[r] = true
 			}
 		}
 	}
@@ -161,7 +161,7 @@ func TestDisjointVeesCompleteGraph(t *testing.T) {
 	// has floor((n-1)/2) vees.
 	g := Complete(9)
 	for v := 0; v < 9; v++ {
-		if got := len(g.DisjointVeesAt(v)); got != 4 {
+		if got := g.DisjointVeeCountAt(v); got != 4 {
 			t.Fatalf("vertex %d: %d vees, want 4", v, got)
 		}
 	}
@@ -276,24 +276,6 @@ func TestFarnessLowerBound(t *testing.T) {
 	empty := NewBuilder(5).Build()
 	if eps := empty.FarnessLowerBound(); eps != 0 {
 		t.Fatalf("empty graph eps = %v", eps)
-	}
-}
-
-func TestAnalyzeReport(t *testing.T) {
-	g := DisjointTriangles(12, 4, rand.New(rand.NewSource(3)))
-	r := g.Analyze(true)
-	if r.N != 12 || r.M != 12 || r.Triangles != 4 || r.PackingSize != 4 {
-		t.Fatalf("report = %+v", r)
-	}
-	if r.TriangleEdges != 12 {
-		t.Fatalf("TriangleEdges = %d, want 12", r.TriangleEdges)
-	}
-	if r.EpsLowerBound < 0.33 {
-		t.Fatalf("EpsLowerBound = %v", r.EpsLowerBound)
-	}
-	r2 := g.Analyze(false)
-	if r2.Triangles != -1 || r2.TriangleEdges != -1 {
-		t.Fatal("Analyze(false) should skip triangle counting")
 	}
 }
 

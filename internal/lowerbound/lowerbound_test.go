@@ -350,13 +350,10 @@ func TestBHMSolvedByTester(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if !allZero && DecodeAnswer(res.Found()) {
+			// A found triangle decodes to the all-zeros side; one-sided
+			// error means the all-ones side never yields one.
+			if !allZero && res.Found() {
 				t.Fatalf("seed %d: tester found a triangle on the all-ones side", seed)
-			}
-			// One-sided: on the all-zeros side the tester may miss, but a
-			// found triangle must decode correctly.
-			if res.Found() && !DecodeAnswer(res.Found()) {
-				t.Fatal("decode inconsistent")
 			}
 		}
 	}

@@ -29,17 +29,6 @@ type Partition struct {
 // K reports the number of players.
 func (p *Partition) K() int { return len(p.Inputs) }
 
-// Views materializes each player's input as a graph (the player's local
-// view (V, E_j)), which protocols use for local degree and adjacency
-// queries.
-func (p *Partition) Views() []*graph.Graph {
-	views := make([]*graph.Graph, len(p.Inputs))
-	for j, edges := range p.Inputs {
-		views[j] = graph.FromEdges(p.N, edges)
-	}
-	return views
-}
-
 // Union returns the union of all player inputs as a graph. For a valid
 // partition of g this equals g.
 func (p *Partition) Union() *graph.Graph {

@@ -127,22 +127,6 @@ func TestSplitDeterminism(t *testing.T) {
 	}
 }
 
-func TestViewsMatchInputs(t *testing.T) {
-	g := testGraph(8)
-	p := Duplicate{Q: 0.5}.Split(g, 3, xrand.New(17))
-	views := p.Views()
-	for j, v := range views {
-		if v.M() != len(p.Inputs[j]) {
-			t.Fatalf("player %d: view has %d edges, input %d", j, v.M(), len(p.Inputs[j]))
-		}
-		for _, e := range p.Inputs[j] {
-			if !v.HasEdge(e.U, e.V) {
-				t.Fatalf("player %d: view missing %v", j, e)
-			}
-		}
-	}
-}
-
 func TestValidateDetectsMissingEdge(t *testing.T) {
 	g := graph.Complete(5)
 	p := Disjoint{}.Split(g, 3, xrand.New(19))

@@ -7,10 +7,10 @@ import (
 	"math/bits"
 	"time"
 
+	"tricomm/internal/bitset"
 	"tricomm/internal/bucket"
 	"tricomm/internal/comm"
 	"tricomm/internal/graph"
-	"tricomm/internal/marks"
 	"tricomm/internal/parwork"
 	"tricomm/internal/wire"
 )
@@ -117,12 +117,12 @@ func (u UnrestrictedBlackboard) RunOn(ctx context.Context, top *comm.Topology) (
 	keep := int(math.Ceil(t.KeepFactor * lnN))
 
 	// Reusable scratch for the bucket loop: the seen-candidate and
-	// posted-arm sets are pooled epoch-marked slices reset per use, not
+	// posted-arm sets are pooled epoch-stamped bitsets reset per use, not
 	// per-iteration map allocations.
-	seen := marks.Get(n)
-	defer marks.Put(seen)
-	posted := marks.Get(n)
-	defer marks.Put(posted)
+	seen := bitset.Get(n)
+	defer bitset.Put(seen)
+	posted := bitset.Get(n)
+	defer bitset.Put(posted)
 
 	board.BeginPhase("buckets")
 	for i := lo; i <= hi; i++ {
@@ -204,7 +204,7 @@ func (u UnrestrictedBlackboard) RunOn(ctx context.Context, top *comm.Topology) (
 			var arms []int
 			for _, pl := range players {
 				// The filter predicate only reads the posted set (Has is a
-				// pure stamp comparison; no Adds run during the scan) and
+				// pure read; no Adds run during the scan) and
 				// queries the shared key, so it fans across workers; a row's
 				// neighbors are distinct, so deferring the Adds to the serial
 				// loop below cannot change which arms are kept. Order is

@@ -5,11 +5,11 @@ import (
 	"fmt"
 	"math"
 
+	"tricomm/internal/bitset"
 	"tricomm/internal/blocks"
 	"tricomm/internal/bucket"
 	"tricomm/internal/comm"
 	"tricomm/internal/graph"
-	"tricomm/internal/marks"
 )
 
 // UnrestrictedTunables exposes the constant factors of the unrestricted
@@ -208,8 +208,8 @@ func (u Unrestricted) findTriangleVee(
 		dEst float64
 	}
 	var cands []cand
-	seen := marks.Get(c.N)
-	defer marks.Put(seen)
+	seen := bitset.Get(c.N)
+	defer bitset.Put(seen)
 	// GetFullCandidates (Algorithm 3): up to q uniform samples from B̃ᵢ,
 	// degree-filtered to ~N(Bᵢ) — candidate work is the k²·polylog
 	// additive term, metered under the "candidates" phase.

@@ -153,8 +153,8 @@ func Scenarios() []ScenarioInfo {
 }
 
 // ParseGraphSpec turns a scenario argument — a registry family name or a
-// JSON spec — into a job GraphSpec (the conversion tritest/tricli use for
-// their -scenario flags).
+// JSON spec — into a job GraphSpec (the conversion behind tricli's
+// -scenario flag).
 func ParseGraphSpec(s string) (GraphSpec, error) {
 	sp, err := scenario.Parse(s)
 	if err != nil {

@@ -12,7 +12,6 @@ import (
 	"fmt"
 	"iter"
 	"math"
-	"sort"
 )
 
 // Summary holds the moments of a sample.
@@ -70,29 +69,6 @@ func (s Summary) CI95() float64 {
 func (s Summary) String() string {
 	return fmt.Sprintf("mean=%.3g ±%.2g (n=%d, min=%.3g, max=%.3g)",
 		s.Mean, s.CI95(), s.N, s.Min, s.Max)
-}
-
-// Quantile returns the q-quantile (0 ≤ q ≤ 1) of xs by linear
-// interpolation. It returns NaN for an empty sample.
-func Quantile(xs []float64, q float64) float64 {
-	if len(xs) == 0 {
-		return math.NaN()
-	}
-	sorted := append([]float64(nil), xs...)
-	sort.Float64s(sorted)
-	if q <= 0 {
-		return sorted[0]
-	}
-	if q >= 1 {
-		return sorted[len(sorted)-1]
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	frac := pos - float64(lo)
-	if lo+1 >= len(sorted) {
-		return sorted[lo]
-	}
-	return sorted[lo]*(1-frac) + sorted[lo+1]*frac
 }
 
 // Wilson returns the Wilson-score 95% confidence interval for a binomial
@@ -204,11 +180,6 @@ type PowerFit struct {
 
 // A returns the multiplicative constant of the fit.
 func (f PowerFit) A() float64 { return math.Exp(f.LogA) }
-
-// Predict evaluates the fitted law at x.
-func (f PowerFit) Predict(x float64) float64 {
-	return f.A() * math.Pow(x, f.Exponent)
-}
 
 // String implements fmt.Stringer.
 func (f PowerFit) String() string {

@@ -25,27 +25,6 @@ func BenchmarkFrameEncode(b *testing.B) {
 	_ = sink
 }
 
-// BenchmarkFrameDecode measures in-place decoding of a pre-encoded stream
-// (DecodeFrame aliases the input, so steady state must not allocate).
-func BenchmarkFrameDecode(b *testing.B) {
-	var stream []byte
-	for _, f := range sessionFrames() {
-		stream = AppendFrame(stream, f)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p := stream
-		for len(p) > 0 {
-			_, n, err := DecodeFrame(p)
-			if err != nil {
-				b.Fatal(err)
-			}
-			p = p[n:]
-		}
-	}
-}
-
 // BenchmarkFrameReadStream measures the socket-side decoder (bufio +
 // per-frame payload allocation, the documented cost of the net transport).
 func BenchmarkFrameReadStream(b *testing.B) {

@@ -31,7 +31,7 @@ func TestVertexCodecRoundTrip(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	r := ReaderFor(&w)
+	r := NewReader(w.Bytes(), w.BitLen())
 	for v := 0; v < 100; v++ {
 		got, err := vc.Get(r)
 		if err != nil {
@@ -55,7 +55,7 @@ func TestVertexCodecRange(t *testing.T) {
 	// Decoding a raw value outside the universe must fail too.
 	w.Reset()
 	w.WriteUint(15, vc.Width()) // 15 >= 10
-	if _, err := vc.Get(ReaderFor(&w)); !errors.Is(err, ErrVertexRange) {
+	if _, err := vc.Get(NewReader(w.Bytes(), w.BitLen())); !errors.Is(err, ErrVertexRange) {
 		t.Fatalf("Get err = %v, want ErrVertexRange", err)
 	}
 }
@@ -95,7 +95,7 @@ func TestEdgeCodecRoundTrip(t *testing.T) {
 	if w.BitLen() != len(edges)*ec.Width() {
 		t.Fatalf("BitLen=%d, want %d", w.BitLen(), len(edges)*ec.Width())
 	}
-	r := ReaderFor(&w)
+	r := NewReader(w.Bytes(), w.BitLen())
 	for _, e := range edges {
 		got, err := ec.Get(r)
 		if err != nil {
@@ -123,7 +123,7 @@ func TestEdgeListRoundTripAndDeterminism(t *testing.T) {
 		t.Fatal("edge list encoding not order-independent")
 	}
 
-	got, err := ec.GetEdgeList(ReaderFor(&w1))
+	got, err := ec.GetEdgeList(NewReader(w1.Bytes(), w1.BitLen()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,29 +133,15 @@ func TestEdgeListRoundTripAndDeterminism(t *testing.T) {
 	}
 }
 
-func TestEdgeListBitsMatchesEncoding(t *testing.T) {
-	ec := NewEdgeCodec(100)
-	for m := 0; m < 40; m++ {
-		edges := make([]Edge, m)
-		for i := range edges {
-			edges[i] = Edge{U: i % 100, V: (i*7 + 1) % 100}
-		}
-		var w Writer
-		if err := ec.PutEdgeList(&w, edges); err != nil {
-			t.Fatal(err)
-		}
-		if w.BitLen() != EdgeListBits(100, m) {
-			t.Fatalf("m=%d: BitLen=%d, EdgeListBits=%d", m, w.BitLen(), EdgeListBits(100, m))
-		}
-	}
-}
-
 func TestEdgeListTruncated(t *testing.T) {
 	ec := NewEdgeCodec(32)
-	var w Writer
-	w.WriteUvarint(1000) // claims 1000 edges, provides none
-	if _, err := ec.GetEdgeList(ReaderFor(&w)); !errors.Is(err, ErrShortMessage) {
-		t.Fatalf("err = %v, want ErrShortMessage", err)
+	// Claims with no edges behind them; 2⁶³ is negative as an int64.
+	for _, cnt := range []uint64{1000, 1 << 63, 1<<64 - 1} {
+		var w Writer
+		w.WriteUvarint(cnt)
+		if _, err := ec.GetEdgeList(NewReader(w.Bytes(), w.BitLen())); !errors.Is(err, ErrShortMessage) {
+			t.Fatalf("count %d: err = %v, want ErrShortMessage", cnt, err)
+		}
 	}
 }
 
@@ -165,7 +151,7 @@ func TestVertexListRoundTrip(t *testing.T) {
 	if err := vc.PutVertexList(&w, []int{9, 1, 30, 2}); err != nil {
 		t.Fatal(err)
 	}
-	got, err := vc.GetVertexList(ReaderFor(&w))
+	got, err := vc.GetVertexList(NewReader(w.Bytes(), w.BitLen()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -177,10 +163,12 @@ func TestVertexListRoundTrip(t *testing.T) {
 
 func TestVertexListTruncated(t *testing.T) {
 	vc := NewVertexCodec(32)
-	var w Writer
-	w.WriteUvarint(999)
-	if _, err := vc.GetVertexList(ReaderFor(&w)); !errors.Is(err, ErrShortMessage) {
-		t.Fatalf("err = %v, want ErrShortMessage", err)
+	for _, cnt := range []uint64{999, 1 << 63, 1<<64 - 1} {
+		var w Writer
+		w.WriteUvarint(cnt)
+		if _, err := vc.GetVertexList(NewReader(w.Bytes(), w.BitLen())); !errors.Is(err, ErrShortMessage) {
+			t.Fatalf("count %d: err = %v, want ErrShortMessage", cnt, err)
+		}
 	}
 }
 
@@ -202,7 +190,7 @@ func TestQuickEdgeListRoundTrip(t *testing.T) {
 		if err := ec.PutEdgeList(&w, edges); err != nil {
 			return false
 		}
-		got, err := ec.GetEdgeList(ReaderFor(&w))
+		got, err := ec.GetEdgeList(NewReader(w.Bytes(), w.BitLen()))
 		if err != nil {
 			return false
 		}

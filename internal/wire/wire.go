@@ -129,18 +129,6 @@ func (w *Writer) WriteBytes(p []byte) {
 	}
 }
 
-// Append copies all bits written to other onto w.
-func (w *Writer) Append(other *Writer) {
-	for i := 0; i < other.nbit; i++ {
-		w.WriteBit(other.bit(i))
-	}
-}
-
-// bit returns bit i of the written stream.
-func (w *Writer) bit(i int) uint {
-	return uint(w.buf[i>>3]>>(7-uint(i&7))) & 1
-}
-
 // Reader consumes a bit string produced by Writer. Reader is not safe for
 // concurrent use.
 type Reader struct {
@@ -157,9 +145,6 @@ func NewReader(buf []byte, nbit int) *Reader {
 	}
 	return &Reader{buf: buf, nbit: nbit}
 }
-
-// ReaderFor returns a Reader over the bits written to w, without copying.
-func ReaderFor(w *Writer) *Reader { return NewReader(w.buf, w.nbit) }
 
 // Remaining reports the number of unread bits.
 func (r *Reader) Remaining() int { return r.nbit - r.pos }
@@ -263,16 +248,6 @@ func BitsFor(n int) int {
 		return 0
 	}
 	return bits.Len64(uint64(n - 1))
-}
-
-// UvarintBits reports the encoded size in bits of WriteUvarint(v).
-func UvarintBits(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return 8 * n
 }
 
 // GammaBits reports the encoded size in bits of WriteGamma(v), v ≥ 1.

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"encoding/binary"
 	"errors"
 	"math/rand"
 	"testing"
@@ -33,7 +34,7 @@ func TestBitRoundTrip(t *testing.T) {
 	for _, b := range pattern {
 		w.WriteBit(b)
 	}
-	r := ReaderFor(&w)
+	r := NewReader(w.Bytes(), w.BitLen())
 	for i, want := range pattern {
 		got, err := r.ReadBit()
 		if err != nil {
@@ -56,7 +57,7 @@ func TestWriteUintWidths(t *testing.T) {
 		if w.BitLen() != width {
 			t.Fatalf("width %d: BitLen = %d", width, w.BitLen())
 		}
-		r := ReaderFor(&w)
+		r := NewReader(w.Bytes(), w.BitLen())
 		got, err := r.ReadUint(width)
 		if err != nil {
 			t.Fatalf("width %d: %v", width, err)
@@ -83,10 +84,11 @@ func TestUvarintRoundTrip(t *testing.T) {
 	for _, v := range cases {
 		var w Writer
 		w.WriteUvarint(v)
-		if w.BitLen() != UvarintBits(v) {
-			t.Fatalf("v=%d: BitLen=%d, UvarintBits=%d", v, w.BitLen(), UvarintBits(v))
+		// Same byte layout as the standard library's LEB128 uvarint.
+		if want := 8 * len(binary.AppendUvarint(nil, v)); w.BitLen() != want {
+			t.Fatalf("v=%d: BitLen=%d, want %d", v, w.BitLen(), want)
 		}
-		got, err := ReaderFor(&w).ReadUvarint()
+		got, err := NewReader(w.Bytes(), w.BitLen()).ReadUvarint()
 		if err != nil {
 			t.Fatalf("v=%d: %v", v, err)
 		}
@@ -104,7 +106,7 @@ func TestGammaRoundTrip(t *testing.T) {
 		if w.BitLen() != GammaBits(v) {
 			t.Fatalf("v=%d: BitLen=%d, GammaBits=%d", v, w.BitLen(), GammaBits(v))
 		}
-		got, err := ReaderFor(&w).ReadGamma()
+		got, err := NewReader(w.Bytes(), w.BitLen()).ReadGamma()
 		if err != nil {
 			t.Fatalf("v=%d: %v", v, err)
 		}
@@ -128,7 +130,7 @@ func TestQuickUvarintRoundTrip(t *testing.T) {
 	f := func(v uint64) bool {
 		var w Writer
 		w.WriteUvarint(v)
-		got, err := ReaderFor(&w).ReadUvarint()
+		got, err := NewReader(w.Bytes(), w.BitLen()).ReadUvarint()
 		return err == nil && got == v
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -144,7 +146,7 @@ func TestQuickMixedRoundTrip(t *testing.T) {
 		w.WriteBool(b)
 		w.WriteUint(uint64(c), 16)
 		w.WriteGamma(uint64(d) + 1)
-		r := ReaderFor(&w)
+		r := NewReader(w.Bytes(), w.BitLen())
 		ga, err1 := r.ReadUvarint()
 		gb, err2 := r.ReadBool()
 		gc, err3 := r.ReadUint(16)
@@ -164,7 +166,7 @@ func TestWriteBytesRoundTrip(t *testing.T) {
 	w.WriteBit(1) // force non-byte alignment
 	payload := []byte{0x00, 0xff, 0x5a, 0x12}
 	w.WriteBytes(payload)
-	r := ReaderFor(&w)
+	r := NewReader(w.Bytes(), w.BitLen())
 	if _, err := r.ReadBit(); err != nil {
 		t.Fatal(err)
 	}
@@ -176,24 +178,6 @@ func TestWriteBytesRoundTrip(t *testing.T) {
 		if got[i] != payload[i] {
 			t.Fatalf("byte %d = %#x, want %#x", i, got[i], payload[i])
 		}
-	}
-}
-
-func TestAppend(t *testing.T) {
-	var a, b Writer
-	a.WriteUint(0b101, 3)
-	b.WriteUint(0b0110, 4)
-	a.Append(&b)
-	if a.BitLen() != 7 {
-		t.Fatalf("BitLen = %d, want 7", a.BitLen())
-	}
-	r := ReaderFor(&a)
-	v, err := r.ReadUint(7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if v != 0b1010110 {
-		t.Fatalf("appended bits = %#b, want 0b1010110", v)
 	}
 }
 
@@ -231,7 +215,7 @@ func TestReadUvarintOverflow(t *testing.T) {
 	}
 	w.WriteBit(0)
 	w.WriteUint(0x7f, 7)
-	if _, err := ReaderFor(&w).ReadUvarint(); !errors.Is(err, ErrOverflow) {
+	if _, err := NewReader(w.Bytes(), w.BitLen()).ReadUvarint(); !errors.Is(err, ErrOverflow) {
 		t.Fatalf("err = %v, want ErrOverflow", err)
 	}
 }
@@ -265,7 +249,7 @@ func TestFuzzLikeRandomSequences(t *testing.T) {
 			}
 			ops = append(ops, o)
 		}
-		r := ReaderFor(&w)
+		r := NewReader(w.Bytes(), w.BitLen())
 		for i, o := range ops {
 			var got uint64
 			var err error

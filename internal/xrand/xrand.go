@@ -20,7 +20,6 @@ package xrand
 import (
 	"crypto/sha256"
 	"encoding/binary"
-	"math"
 	"math/rand"
 )
 
@@ -123,62 +122,6 @@ func (k Key) Bernoulli(x uint64, p float64) bool {
 	return k.Uniform01(x) < p
 }
 
-// SampleSubset enumerates the elements of [0,n) in the i.i.d. p-sample.
-func (k Key) SampleSubset(n int, p float64) []int {
-	var out []int
-	for x := 0; x < n; x++ {
-		if k.Bernoulli(uint64(x), p) {
-			out = append(out, x)
-		}
-	}
-	return out
-}
-
-// MinRank returns the element of elems with the smallest rank under the
-// key, or (-1, false) if elems is empty. This is the shared-permutation
-// primitive: all parties computing MinRank over sets whose union is S agree
-// on the overall minimum of S by exchanging only their local minima.
-func (k Key) MinRank(elems []int) (int, bool) {
-	if len(elems) == 0 {
-		return -1, false
-	}
-	best := elems[0]
-	for _, e := range elems[1:] {
-		if k.Before(uint64(e), uint64(best)) {
-			best = e
-		}
-	}
-	return best, true
-}
-
-// Binomial samples Binomial(n, p) using the given stream. It uses direct
-// simulation for small n·p and a normal approximation would bias tails, so
-// for large n it samples via the geometric-jump method (O(n·p) expected
-// time), which is exact.
-func Binomial(rng *rand.Rand, n int, p float64) int {
-	if n <= 0 || p <= 0 {
-		return 0
-	}
-	if p >= 1 {
-		return n
-	}
-	// Geometric jumps: number of failures between successes is
-	// Geometric(p); exact and O(np) expected.
-	count := 0
-	i := 0
-	logq := math.Log1p(-p)
-	for {
-		// Skip ahead by a Geometric(p) gap.
-		u := rng.Float64()
-		gap := int(math.Floor(math.Log(1-u) / logq))
-		i += gap + 1
-		if i > n {
-			return count
-		}
-		count++
-	}
-}
-
 // Reservoir maintains a uniform k-sample over a stream of elements using
 // reservoir sampling. The zero value is not usable; use NewReservoir.
 type Reservoir struct {
@@ -208,9 +151,6 @@ func (r *Reservoir) Offer(x int) {
 		r.buf[j] = x
 	}
 }
-
-// Seen reports the number of elements offered so far.
-func (r *Reservoir) Seen() int { return r.seen }
 
 // Sample returns a copy of the current sample.
 func (r *Reservoir) Sample() []int {

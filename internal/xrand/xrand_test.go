@@ -84,6 +84,18 @@ func TestBeforeIsTotalOrder(t *testing.T) {
 	}
 }
 
+// minRank returns the element of the nonempty elems that comes first
+// under k.Before — the reduction every party applies to its local set.
+func minRank(k Key, elems []int) int {
+	best := elems[0]
+	for _, e := range elems[1:] {
+		if k.Before(uint64(e), uint64(best)) {
+			best = e
+		}
+	}
+	return best
+}
+
 func TestMinRankConsistentAcrossPartitions(t *testing.T) {
 	// The shared-permutation primitive: min over a union equals min of the
 	// parties' local minima.
@@ -92,30 +104,15 @@ func TestMinRankConsistentAcrossPartitions(t *testing.T) {
 	for i := range all {
 		all[i] = i
 	}
-	globalMin, ok := k.MinRank(all)
-	if !ok {
-		t.Fatal("MinRank on nonempty set returned !ok")
-	}
+	globalMin := minRank(k, all)
 	// Split into 3 parts with overlap.
 	parts := [][]int{all[:100], all[50:150], all[120:]}
 	var locals []int
 	for _, p := range parts {
-		m, ok := k.MinRank(p)
-		if !ok {
-			t.Fatal("local MinRank failed")
-		}
-		locals = append(locals, m)
+		locals = append(locals, minRank(k, p))
 	}
-	combined, _ := k.MinRank(locals)
-	if combined != globalMin {
+	if combined := minRank(k, locals); combined != globalMin {
 		t.Fatalf("combined min %d != global min %d", combined, globalMin)
-	}
-}
-
-func TestMinRankEmpty(t *testing.T) {
-	k := New(1).Key("t")
-	if _, ok := k.MinRank(nil); ok {
-		t.Fatal("MinRank(nil) returned ok")
 	}
 }
 
@@ -128,8 +125,7 @@ func TestMinRankUniformity(t *testing.T) {
 	set := []int{0, 1, 2, 3, 4, 5, 6, 7}
 	for i := 0; i < trials; i++ {
 		k := New(uint64(i)).Key("uniform")
-		m, _ := k.MinRank(set)
-		counts[m]++
+		counts[minRank(k, set)]++
 	}
 	want := float64(trials) / elems
 	for v, c := range counts {
@@ -172,66 +168,12 @@ func TestBernoulliRate(t *testing.T) {
 	}
 }
 
-func TestSampleSubsetMatchesBernoulli(t *testing.T) {
-	k := New(17).Key("sub")
-	const n = 1000
-	sub := k.SampleSubset(n, 0.3)
-	inSub := map[int]bool{}
-	for _, x := range sub {
-		inSub[x] = true
-	}
-	for x := 0; x < n; x++ {
-		if inSub[x] != k.Bernoulli(uint64(x), 0.3) {
-			t.Fatalf("subset and Bernoulli disagree at %d", x)
-		}
-	}
-}
-
 func TestUniform01Range(t *testing.T) {
 	k := New(23).Key("u")
 	for x := uint64(0); x < 10000; x++ {
 		u := k.Uniform01(x)
 		if u < 0 || u >= 1 {
 			t.Fatalf("Uniform01(%d) = %v out of [0,1)", x, u)
-		}
-	}
-}
-
-func TestBinomialMoments(t *testing.T) {
-	rng := New(31).Stream("binom")
-	const n, p, trials = 1000, 0.05, 3000
-	var sum, sumsq float64
-	for i := 0; i < trials; i++ {
-		v := float64(Binomial(rng, n, p))
-		sum += v
-		sumsq += v * v
-	}
-	mean := sum / trials
-	wantMean := float64(n) * p
-	if math.Abs(mean-wantMean) > 1.5 {
-		t.Errorf("mean %.2f, want ~%.2f", mean, wantMean)
-	}
-	variance := sumsq/trials - mean*mean
-	wantVar := float64(n) * p * (1 - p)
-	if math.Abs(variance-wantVar) > 0.25*wantVar {
-		t.Errorf("variance %.2f, want ~%.2f", variance, wantVar)
-	}
-}
-
-func TestBinomialEdgeCases(t *testing.T) {
-	rng := New(1).Stream("b")
-	if Binomial(rng, 0, 0.5) != 0 {
-		t.Fatal("Binomial(0, p) != 0")
-	}
-	if Binomial(rng, 10, 0) != 0 {
-		t.Fatal("Binomial(n, 0) != 0")
-	}
-	if Binomial(rng, 10, 1) != 10 {
-		t.Fatal("Binomial(n, 1) != n")
-	}
-	for i := 0; i < 100; i++ {
-		if v := Binomial(rng, 5, 0.5); v < 0 || v > 5 {
-			t.Fatalf("Binomial out of range: %d", v)
 		}
 	}
 }
@@ -269,8 +211,5 @@ func TestReservoirSize(t *testing.T) {
 	}
 	if got := r.Sample(); len(got) != 5 {
 		t.Fatalf("sample size %d, want 5", len(got))
-	}
-	if r.Seen() != 100 {
-		t.Fatalf("Seen = %d, want 100", r.Seen())
 	}
 }

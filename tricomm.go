@@ -36,6 +36,7 @@ import (
 	"tricomm/internal/comm"
 	"tricomm/internal/graph"
 	"tricomm/internal/partition"
+	"tricomm/internal/parwork"
 	"tricomm/internal/protocol"
 	"tricomm/internal/scenario"
 	"tricomm/internal/transport"
@@ -68,7 +69,7 @@ func FromEdges(n int, edges []Edge) *Graph { return graph.FromEdges(n, edges) }
 // kernels are bit-identical to their serial forms at any worker count,
 // so the knob only trades wall-clock for cores — it can never change a
 // verdict, witness, or count.
-func IntraWorkers(n int) int { return graph.IntraWorkers(n) }
+func IntraWorkers(n int) int { return parwork.Workers(n) }
 
 // RandomGraph samples an Erdős–Rényi graph with expected average degree d.
 func RandomGraph(n int, d float64, seed int64) *Graph {
