@@ -21,8 +21,10 @@
 //
 // Scenario mode runs a single declarative instance spec instead of the
 // registered experiments — any family from the scenario registry
-// (-list-scenarios prints the catalog), with per-trial rows that are
-// seed-exact with tricomm.RunScenario and tricommd jobs:
+// (-list-scenarios prints the catalog), run as a tricommd job spec through
+// the daemon's own trial path, so per-trial rows are seed-exact with
+// tricommd jobs and with the Go API path GenerateScenario → si.Cluster →
+// Cluster.Test:
 //
 //	benchtable -scenario chung-lu -trials 5
 //	benchtable -scenario '{"family":"sbm","n":2048,"blocks":16}' -protocol interactive
@@ -47,6 +49,7 @@ import (
 	"tricomm"
 	"tricomm/internal/harness"
 	"tricomm/internal/obs"
+	"tricomm/internal/service"
 )
 
 func main() {
@@ -139,10 +142,14 @@ func run() error {
 		if trials <= 0 {
 			trials = 3
 		}
-		table, err := harness.ScenarioTable(ctx, cfg, harness.ScenarioConfig{
-			Spec: *scen, K: *k, Scheme: *part, Protocol: *proto, Transport: *transp,
-			Eps: *eps, KnownDegree: true, Check: *check,
-		}, trials)
+		g, err := service.ParseGraphSpec(*scen)
+		if err != nil {
+			return err
+		}
+		table, err := harness.ScenarioTable(ctx, cfg, service.JobSpec{
+			Graph: g, K: *k, Partition: *part, Protocol: *proto, Transport: *transp,
+			Eps: *eps, KnownDegree: true, Check: *check, Trials: trials, Seed: *seed,
+		})
 		if err != nil {
 			return err
 		}

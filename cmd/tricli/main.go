@@ -27,7 +27,6 @@ import (
 	"fmt"
 	"os"
 	"os/signal"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -85,55 +84,28 @@ func usage(fs *flag.FlagSet) func() {
 	}
 }
 
-// jobFlags registers the job-spec flags shared by submit and load. The
-// returned constructor resolves -scenario (a family name or JSON spec)
-// through the scenario registry; the legacy -kind/-n/-d/-eps flags keep
-// working and route through the same registry server-side.
+// jobFlags registers the job-spec flags shared by submit and load: the
+// service binder's, at tricli's defaults, plus the daemon-side trial
+// budget flags.
 func jobFlags(fs *flag.FlagSet) func() (service.JobSpec, error) {
-	var (
-		kind      = fs.String("kind", "far", "legacy graph kind: far | random | bipartite (see list-scenarios for the full catalog)")
-		scen      = fs.String("scenario", "", "scenario: a registry family name or JSON spec; overrides -kind/-n/-d/-eps")
-		n         = fs.Int("n", 512, "number of vertices")
-		d         = fs.Float64("d", 8, "target average degree")
-		eps       = fs.Float64("eps", 0.25, "farness parameter (construction and tester)")
-		k         = fs.Int("k", 4, "number of players")
-		part      = fs.String("partition", "disjoint", "partition: "+strings.Join(tricomm.SplitSchemeNames(), " | "))
-		proto     = fs.String("protocol", "sim-oblivious", "protocol: "+strings.Join(tricomm.ProtocolNames(), " | "))
-		transport = fs.String("transport", "chan", "session transport: "+strings.Join(tricomm.TransportNames(), " | "))
-		trials    = fs.Int("trials", 1, "trials per job")
-		seed      = fs.Uint64("seed", 1, "base seed")
-		knownDeg  = fs.Bool("known-degree", true, "tell the protocol the true average degree")
-		check     = fs.Bool("check", false, "also report each instance's ground truth")
-		faults    = fs.String("faults", "", "deterministic fault injection: off | lossy | chaos | JSON fault spec")
-		trialTO   = fs.Duration("trial-timeout", 0, "per-trial wall-clock budget (0: server default)")
-		maxFail   = fs.Int("max-failed-trials", 0, "aborted-trial budget: within it the job degrades to 'partial' instead of failing")
-	)
+	spec := service.BindJobFlags(fs, service.JobSpec{
+		Graph:       service.GraphSpec{Kind: "far", Spec: scenario.Spec{N: 512, D: 8}},
+		K:           4,
+		Partition:   "disjoint",
+		Protocol:    "sim-oblivious",
+		Eps:         0.25,
+		KnownDegree: true,
+		Trials:      1,
+		Transport:   "chan",
+		Seed:        1,
+	})
+	trialTO := fs.Duration("trial-timeout", 0, "per-trial wall-clock budget (0: server default)")
+	maxFail := fs.Int("max-failed-trials", 0, "aborted-trial budget: within it the job degrades to 'partial' instead of failing")
 	return func() (service.JobSpec, error) {
-		graph := service.GraphSpec{Kind: *kind, Spec: scenario.Spec{N: *n, D: *d, Eps: *eps}}
-		if *kind != "far" {
-			graph.Eps = 0
-		}
-		if *scen != "" {
-			var err error
-			if graph, err = service.ParseGraphSpec(*scen); err != nil {
-				return service.JobSpec{}, err
-			}
-		}
-		return service.JobSpec{
-			Graph:           graph,
-			K:               *k,
-			Partition:       *part,
-			Protocol:        *proto,
-			Eps:             *eps,
-			KnownDegree:     *knownDeg,
-			Trials:          *trials,
-			Transport:       *transport,
-			Seed:            *seed,
-			Check:           *check,
-			Faults:          *faults,
-			TrialTimeoutMS:  trialTO.Milliseconds(),
-			MaxFailedTrials: *maxFail,
-		}, nil
+		js, err := spec()
+		js.TrialTimeoutMS = trialTO.Milliseconds()
+		js.MaxFailedTrials = *maxFail
+		return js, err
 	}
 }
 

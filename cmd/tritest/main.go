@@ -5,7 +5,9 @@
 // the failing seed, on disagreement — which makes it a scripted health
 // check. With -server it submits the same job to a running tricommd daemon
 // and audits the daemon's verdicts instead, regenerating each trial's
-// instance locally from the reported per-trial seed.
+// instance locally from the reported per-trial seed. Either way the flags
+// bind one service.JobSpec, and a local run goes through the daemon's own
+// trial path (JobSpec.RunTrial) with the -seed value as its trial seed.
 //
 // Instances come from the scenario registry: -scenario accepts any
 // registered family name or a JSON spec (-list-scenarios prints the
@@ -32,14 +34,13 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math/rand"
 	"os"
-	"strings"
 
 	"tricomm"
 	"tricomm/internal/harness/runner"
 	"tricomm/internal/scenario"
 	"tricomm/internal/service"
-	"tricomm/internal/transport"
 )
 
 func main() {
@@ -56,23 +57,24 @@ func main() {
 // run returns the process exit code: 0 for healthy, 2 for a ground-truth
 // disagreement, 1 (with an error) for operational failures.
 func run() (int, error) {
+	job := service.BindJobFlags(flag.CommandLine, service.JobSpec{
+		Graph:       service.GraphSpec{Kind: "far", Spec: scenario.Spec{N: 1024, D: 8}},
+		K:           4,
+		Partition:   "disjoint",
+		Protocol:    "sim-oblivious",
+		Eps:         0.2,
+		KnownDegree: true,
+		Trials:      1,
+		Transport:   "chan",
+		Seed:        1,
+		Check:       true,
+	})
+	// -check and -trials act differently here than in tricli.
+	flag.Lookup("check").Usage = "compare the verdict against ground truth; exit 2 with the failing seed on disagreement"
+	flag.Lookup("trials").Usage = "trials (server mode)"
 	var (
-		n        = flag.Int("n", 1024, "number of vertices")
-		d        = flag.Float64("d", 8, "target average degree")
-		eps      = flag.Float64("eps", 0.2, "farness parameter")
-		k        = flag.Int("k", 4, "number of players")
-		kind     = flag.String("kind", "far", "legacy graph kind: far | random | bipartite (see -scenario for the full catalog)")
-		scen     = flag.String("scenario", "", "scenario: a registry family name or JSON spec; overrides -kind/-n/-d/-eps")
 		listScen = flag.Bool("list-scenarios", false, "print the scenario catalog and exit")
-		proto    = flag.String("protocol", "sim-oblivious", "protocol: "+strings.Join(tricomm.ProtocolNames(), " | "))
-		part     = flag.String("partition", "disjoint", "partition: "+strings.Join(tricomm.SplitSchemeNames(), " | "))
-		transp   = flag.String("transport", "chan", "session transport: "+strings.Join(tricomm.TransportNames(), " | "))
-		seed     = flag.Int64("seed", 1, "random seed")
-		knownDeg = flag.Bool("known-degree", true, "tell the protocol the true average degree")
-		check    = flag.Bool("check", true, "compare the verdict against ground truth; exit 2 with the failing seed on disagreement")
-		trials   = flag.Int("trials", 1, "trials (server mode)")
 		server   = flag.String("server", "", "audit a running tricommd at this base URL instead of running locally")
-		faults   = flag.String("faults", "", "deterministic fault injection: off | lossy | chaos | JSON fault spec")
 		intraW   = flag.Int("intra-workers", 0, "goroutines for the session's per-player hot loops and the ground-truth triangle search (<= 0: $TRICOMM_INTRA_WORKERS, then 1); reports are identical at any value")
 	)
 	flag.Parse()
@@ -82,111 +84,65 @@ func run() (int, error) {
 		fmt.Print(tricomm.ScenarioUsage())
 		return 0, nil
 	}
-	if _, err := parseScheme(*part); err != nil {
-		return 1, err
-	}
-	if _, err := parseProtocol(*proto); err != nil {
-		return 1, err
-	}
-	if _, err := tricomm.ParseTransport(*transp); err != nil {
-		return 1, err
-	}
-	if _, err := transport.ParseFaultSpec(*faults); err != nil {
-		return 1, err
-	}
-	spec, err := resolveSpec(*scen, *kind, *n, *d, *eps)
+	js, err := job()
 	if err != nil {
 		return 1, err
 	}
-
 	if *server != "" {
-		return runServer(serverJob{
-			base: *server, spec: spec, k: *k, eps: *eps,
-			proto: *proto, part: *part, transport: *transp, faults: *faults,
-			seed: uint64(*seed), trials: *trials, knownDeg: *knownDeg, check: *check,
-		})
+		return runServer(*server, js)
 	}
-	return runLocal(spec, *eps, *k, *proto, *part, *transp, *faults, *seed, *knownDeg, *check)
-}
-
-// resolveSpec turns either a -scenario argument or the legacy
-// -kind/-n/-d/-eps flags into one canonical scenario spec — the same
-// construction the daemon uses, so server-mode audits can regenerate any
-// trial.
-func resolveSpec(scen, kind string, n int, d, eps float64) (scenario.Spec, error) {
-	if scen != "" {
-		return scenario.Parse(scen)
-	}
-	sp := scenario.Spec{Family: kind, N: n, D: d}
-	if kind == "far" {
-		sp.Eps = eps
-	}
-	return scenario.Canonical(sp)
+	return runLocal(js)
 }
 
 // intraWorkers is the resolved -intra-workers value: goroutines for the
-// ground-truth triangle search (deterministic at any width).
+// session and the ground-truth triangle search (deterministic at any
+// width).
 var intraWorkers = 1
+
+// generate regenerates the instance a trial with this seed runs on.
+func generate(js service.JobSpec, seed uint64) (scenario.Instance, error) {
+	return js.Graph.Generate(rand.New(rand.NewSource(int64(seed))))
+}
 
 // audit compares one verdict against the instance's ground truth. It
 // returns a non-empty failure description on disagreement.
-func audit(g *tricomm.Graph, triangleFree bool, witness *tricomm.Triangle, seed int64) string {
-	if !triangleFree {
-		if witness == nil {
-			return fmt.Sprintf("UNSOUND: triangle reported without a witness (seed=%d)", seed)
-		}
-		w := *witness
-		if w.A == w.B || w.B == w.C || w.A == w.C ||
-			!g.HasEdge(w.A, w.B) || !g.HasEdge(w.B, w.C) || !g.HasEdge(w.A, w.C) {
-			return fmt.Sprintf("UNSOUND: witness %v is not a triangle of the instance (seed=%d)", w, seed)
-		}
-	}
-	_, hasTriangle := g.FindTriangleN(intraWorkers)
-	if triangleFree && hasTriangle {
+func audit(g *tricomm.Graph, rep tricomm.Report, seed int64) string {
+	has, witnessOK := service.GroundTruth(g, rep, intraWorkers)
+	switch {
+	case !witnessOK:
+		return fmt.Sprintf("UNSOUND: witness %v is not a triangle of the instance (seed=%d)", rep.Witness, seed)
+	case rep.TriangleFree && has:
 		return fmt.Sprintf("MISS: verdict triangle-free but the instance has a triangle (seed=%d)", seed)
-	}
-	if !triangleFree && !hasTriangle {
+	case !rep.TriangleFree && !has:
 		// Unreachable given the soundness check above, but state it.
 		return fmt.Sprintf("UNSOUND: triangle reported on a triangle-free instance (seed=%d)", seed)
 	}
 	return ""
 }
 
-func runLocal(spec scenario.Spec, eps float64, k int, proto, part, transp, faults string, seed int64, knownDeg, check bool) (int, error) {
-	si, err := tricomm.GenerateScenario(spec.JSON(), seed)
+// runLocal runs the job's single trial in process, with the -seed value
+// itself as the trial seed.
+func runLocal(js service.JobSpec) (int, error) {
+	inst, err := generate(js, js.Seed)
 	if err != nil {
 		return 1, err
 	}
-	g := si.Graph
-	scheme, _ := parseScheme(part)
-	protocol, _ := parseProtocol(proto)
-	transport, _ := tricomm.ParseTransport(transp)
-
-	cluster, err := si.Cluster(k, scheme, uint64(seed))
+	rep, err := js.RunTrial(context.Background(), inst, js.Seed, intraWorkers)
 	if err != nil {
 		return 1, err
 	}
-	opts := tricomm.Options{Protocol: protocol, Eps: eps, Transport: transport, Faults: faults, IntraWorkers: intraWorkers}
-	if knownDeg {
-		opts.AvgDegree = g.AvgDegree()
+	g := inst.G
+	fmt.Printf("graph: n=%d m=%d avg-degree=%.2f scenario=%s", g.N(), g.M(), g.AvgDegree(), inst.Spec.Family)
+	if inst.CertEps > 0 {
+		fmt.Printf(" certified-eps=%.3f", inst.CertEps)
 	}
-
-	fmt.Printf("graph: n=%d m=%d avg-degree=%.2f scenario=%s", g.N(), g.M(), g.AvgDegree(), spec.Family)
-	if si.CertEps > 0 {
-		fmt.Printf(" certified-eps=%.3f", si.CertEps)
-	}
-	if si.TriangleFree {
+	if inst.TriangleFree {
 		fmt.Printf(" triangle-free-by-construction")
 	}
-	if si.Players != nil {
-		fmt.Printf("\nplayers: k=%d assignment=scenario-prescribed transport=%s\n", len(si.Players), transp)
+	if inst.Players != nil {
+		fmt.Printf("\nplayers: k=%d assignment=scenario-prescribed transport=%s\n", len(inst.Players), js.Transport)
 	} else {
-		fmt.Printf("\nplayers: k=%d partition=%s transport=%s\n", k, part, transp)
-	}
-
-	rep, err := cluster.Test(context.Background(), opts)
-	if err != nil {
-		return 1, err
+		fmt.Printf("\nplayers: k=%d partition=%s transport=%s\n", js.K, js.Partition, js.Transport)
 	}
 	fmt.Printf("protocol: %s\n", rep.Protocol)
 	if rep.TriangleFree {
@@ -205,9 +161,8 @@ func runLocal(spec scenario.Spec, eps float64, k int, proto, part, transp, fault
 	for j, b := range rep.PerPlayerBits {
 		fmt.Printf("  player %d: %d bits\n", j, b)
 	}
-	if check {
-		w := rep.Witness
-		if msg := audit(g, rep.TriangleFree, &w, seed); msg != "" {
+	if js.Check {
+		if msg := audit(g, rep, int64(js.Seed)); msg != "" {
 			fmt.Fprintf(os.Stderr, "tritest: FAIL %s\n", msg)
 			return 2, nil
 		}
@@ -216,42 +171,21 @@ func runLocal(spec scenario.Spec, eps float64, k int, proto, part, transp, fault
 	return 0, nil
 }
 
-type serverJob struct {
-	base            string
-	spec            scenario.Spec
-	eps             float64
-	k, trials       int
-	proto, part     string
-	transport       string
-	faults          string
-	seed            uint64
-	knownDeg, check bool
-}
-
 // runServer submits the job to a tricommd daemon and audits every trial
 // outcome against a locally regenerated instance.
-func runServer(j serverJob) (int, error) {
+func runServer(base string, js service.JobSpec) (int, error) {
 	ctx := context.Background()
-	cl := &service.Client{Base: j.base}
+	cl := &service.Client{Base: base}
 	if err := cl.Health(ctx); err != nil {
 		return 1, fmt.Errorf("daemon unhealthy: %w", err)
 	}
-	ji, err := cl.Submit(ctx, service.JobSpec{
-		Graph:       service.GraphSpec{Spec: j.spec},
-		K:           j.k,
-		Partition:   j.part,
-		Protocol:    j.proto,
-		Eps:         j.eps,
-		KnownDegree: j.knownDeg,
-		Trials:      j.trials,
-		Transport:   j.transport,
-		Seed:        j.seed,
-		Faults:      j.faults,
-	})
+	sub := js
+	sub.Check = false // the audit below recomputes ground truth locally
+	ji, err := cl.Submit(ctx, sub)
 	if err != nil {
 		return 1, err
 	}
-	fmt.Printf("daemon %s: job %s (%s, %d trials)\n", j.base, ji.ID, j.proto, j.trials)
+	fmt.Printf("daemon %s: job %s (%s, %d trials)\n", base, ji.ID, js.Protocol, js.Trials)
 
 	// The daemon echoes the spec with defaults filled in; derive expected
 	// trial seeds from that echo so defaulting (e.g. seed 0 → 1) cannot be
@@ -277,7 +211,7 @@ func runServer(j serverJob) (int, error) {
 			}
 		}
 		fmt.Printf("trial %d seed=%d: %s  bits=%d rounds=%d\n", o.Trial, o.Seed, verdict, o.Bits, o.Rounds)
-		if !j.check {
+		if !js.Check {
 			return nil
 		}
 		if o.Seed != runner.TrialSeed(baseSeed, o.Trial) {
@@ -286,15 +220,21 @@ func runServer(j serverJob) (int, error) {
 				o.Trial, o.Seed, runner.TrialSeed(baseSeed, o.Trial))
 			return nil
 		}
-		si, err := tricomm.GenerateScenario(j.spec.JSON(), int64(o.Seed))
+		if !o.TriangleFree && o.Witness == nil {
+			failures++
+			fmt.Fprintf(os.Stderr, "tritest: FAIL trial %d UNSOUND: triangle reported without a witness (seed=%d)\n",
+				o.Trial, int64(o.Seed))
+			return nil
+		}
+		inst, err := generate(js, o.Seed)
 		if err != nil {
 			return err
 		}
-		var w *tricomm.Triangle
+		rep := tricomm.Report{TriangleFree: o.TriangleFree}
 		if o.Witness != nil {
-			w = &tricomm.Triangle{A: o.Witness[0], B: o.Witness[1], C: o.Witness[2]}
+			rep.Witness = tricomm.Triangle{A: o.Witness[0], B: o.Witness[1], C: o.Witness[2]}
 		}
-		if msg := audit(si.Graph, o.TriangleFree, w, int64(o.Seed)); msg != "" {
+		if msg := audit(inst.G, rep, int64(o.Seed)); msg != "" {
 			failures++
 			fmt.Fprintf(os.Stderr, "tritest: FAIL trial %d %s\n", o.Trial, msg)
 		}
@@ -309,26 +249,15 @@ func runServer(j serverJob) (int, error) {
 		// Within the job's aborted-trial budget: the completed trials'
 		// verdicts are valid (and audited above); say what's missing.
 		fmt.Printf("note: job %s partial — %d of %d trials aborted under faults\n",
-			fin.ID, aborted, j.trials)
+			fin.ID, aborted, js.Trials)
 	default:
 		return 1, fmt.Errorf("job %s finished %s: %s", fin.ID, fin.State, fin.Error)
 	}
 	if failures > 0 {
-		return 2, fmt.Errorf("%d of %d trials disagree with ground truth", failures, j.trials)
+		return 2, fmt.Errorf("%d of %d trials disagree with ground truth", failures, js.Trials)
 	}
-	if j.check {
-		fmt.Printf("check: all %d completed trials agree with ground truth\n", j.trials-aborted)
+	if js.Check {
+		fmt.Printf("check: all %d completed trials agree with ground truth\n", js.Trials-aborted)
 	}
 	return 0, nil
-}
-
-func parseScheme(s string) (tricomm.SplitScheme, error) {
-	return tricomm.ParseSplitScheme(s)
-}
-
-func parseProtocol(s string) (tricomm.Protocol, error) {
-	if s == "" {
-		return 0, fmt.Errorf("unknown -protocol %q (valid: %s)", s, strings.Join(tricomm.ProtocolNames(), ", "))
-	}
-	return tricomm.ParseProtocol(s)
 }

@@ -166,35 +166,14 @@ func BucketRange(n int, dl, dh float64) (lo, hi int) {
 	return lo, hi
 }
 
-// Candidates returns B̃ᵢʲ, the vertices player j can "reasonably suspect"
-// belong to bucket i given only its local view (§3.3): vertices whose
-// local degree d_j(v) satisfies d⁻(Bᵢ)/k ≤ d_j(v) ≤ d⁺(Bᵢ). By the
-// pigeonhole argument, Bᵢ ⊆ ⋃_j B̃ᵢʲ, and each B̃ᵢʲ ⊆ N_k(Bᵢ) (vertices
-// whose true degree is at least d⁻(Bᵢ)/k).
-func Candidates(view *graph.Graph, i, k int) []int {
-	if k < 1 {
-		panic("bucket: Candidates requires k >= 1")
-	}
-	lo := float64(DegMin(i)) / float64(k)
-	hi := DegMax(i) // d⁺ is exclusive in bucket terms; the candidate test is ≤ 3^i per the paper
-	var out []int
-	for v := 0; v < view.N(); v++ {
-		dj := view.Degree(v)
-		if dj > 0 && float64(dj) >= lo && dj <= hi {
-			out = append(out, v)
-		}
-	}
-	return out
-}
-
 // minRankSerialBelow keeps MinRankCandidate serial for small universes,
 // where a fan-out costs more than the scan.
 const minRankSerialBelow = 1024
 
-// MinRankCandidate returns the element of Candidates(view, i, k) that
-// comes first under key.Before, without materializing the candidate
-// slice: one fused scan over the vertex range, fanned across up to
-// workers goroutines. Before is a strict total order (hash rank with id
+// MinRankCandidate returns the element of the candidate set B̃ᵢʲ (local
+// degree in [d⁻(Bᵢ)/k, d⁺(Bᵢ)]) that comes first under key.Before,
+// without materializing the set: one fused scan over the vertex range,
+// fanned across up to workers goroutines. Before is a strict total order (hash rank with id
 // tie-break), so taking chunk-local minima and folding them in chunk
 // order yields exactly the serial scan's minimum at any worker count.
 func MinRankCandidate(view *graph.Graph, i, k int, key xrand.Key, workers int) (int, bool) {

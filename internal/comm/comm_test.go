@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"tricomm/internal/graph"
+	"tricomm/internal/transport"
 	"tricomm/internal/wire"
 	"tricomm/internal/xrand"
 )
@@ -230,6 +231,40 @@ func TestRunContextCancellation(t *testing.T) {
 	case <-done:
 	case <-time.After(5 * time.Second):
 		t.Fatal("cancellation did not unblock the cluster")
+	}
+}
+
+// closedFirst is a link whose Recv reports the closed peer and never the
+// context: the order in which a transport can observe a player that
+// returned on cancel before the coordinator's Recv saw the cancellation.
+type closedFirst struct{ transport.Conn }
+
+func (closedFirst) Recv(context.Context) (transport.Frame, error) {
+	return transport.Frame{}, transport.ErrClosed
+}
+
+// TestCanceledRunAfterPlayerExit pins the error a canceled run reports when
+// the player exits first: ErrCanceled from both Send's up-front exit check
+// and Recv's closed link, never ErrPlayerDone.
+func TestCanceledRunAfterPlayerExit(t *testing.T) {
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	_, err := Run(ctx, testConfig(2),
+		func(ctx context.Context, c *Coordinator) error {
+			<-c.pdone[0]
+			if err := c.Send(ctx, 0, ack()); !errors.Is(err, ErrCanceled) {
+				return fmt.Errorf("Send after player exit: %v", err)
+			}
+			c.links[0] = closedFirst{c.links[0]}
+			_, err := c.Recv(ctx, 0)
+			return err
+		},
+		func(ctx context.Context, p *Player) error {
+			<-ctx.Done()
+			return nil
+		})
+	if !errors.Is(err, ErrCanceled) {
+		t.Fatalf("err = %v, want ErrCanceled", err)
 	}
 }
 

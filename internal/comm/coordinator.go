@@ -109,16 +109,18 @@ type Coordinator struct {
 }
 
 // linkErr maps a transport failure on player j's link to the
-// coordinator-side error vocabulary.
+// coordinator-side error vocabulary. A canceled run reports ErrCanceled
+// even when the player exited first and closed its end: the cancellation
+// is the cause, the closed link its symptom.
 func (c *Coordinator) linkErr(ctx context.Context, j int, err error) error {
 	if errors.Is(err, transport.ErrAborted) {
 		return fmt.Errorf("%w: player %d link: %v", ErrSessionAborted, j, err)
 	}
-	if errors.Is(err, transport.ErrClosed) {
-		return fmt.Errorf("%w: player %d", ErrPlayerDone, j)
-	}
 	if ctx.Err() != nil {
 		return fmt.Errorf("%w: %v", ErrCanceled, ctx.Err())
+	}
+	if errors.Is(err, transport.ErrClosed) {
+		return fmt.Errorf("%w: player %d", ErrPlayerDone, j)
 	}
 	return err
 }
@@ -126,10 +128,14 @@ func (c *Coordinator) linkErr(ctx context.Context, j int, err error) error {
 // Send transmits a message to player j. It returns ErrPlayerDone if the
 // player goroutine has already exited — checked up front, so a dead
 // player is reported deterministically instead of the message slipping
-// into the link's buffer.
+// into the link's buffer — or ErrCanceled if that exit followed a
+// canceled run, matching linkErr.
 func (c *Coordinator) Send(ctx context.Context, j int, m Msg) error {
 	select {
 	case <-c.pdone[j]:
+		if ctx.Err() != nil {
+			return fmt.Errorf("%w: %v", ErrCanceled, ctx.Err())
+		}
 		return fmt.Errorf("%w: player %d", ErrPlayerDone, j)
 	default:
 	}

@@ -258,3 +258,17 @@ func TestStarCycleComplete(t *testing.T) {
 		t.Fatalf("K5 triangles = %d, want 10", got)
 	}
 }
+
+// Relabel returns a copy of g with vertex v renamed to perm[v]. perm must
+// be a permutation of [0, g.N()).
+func Relabel(g *Graph, perm []int) *Graph {
+	if len(perm) != g.N() {
+		panic("graph: Relabel permutation has wrong length")
+	}
+	b := NewBuilder(g.N())
+	g.VisitEdges(func(e Edge) bool {
+		b.AddEdge(perm[e.U], perm[e.V])
+		return true
+	})
+	return b.Build()
+}

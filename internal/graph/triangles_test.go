@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -284,4 +285,64 @@ func TestIsTriangleRejectsDegenerate(t *testing.T) {
 	if g.IsTriangle(1, 1, 2) || g.IsTriangle(0, 1, 1) {
 		t.Fatal("degenerate triple accepted")
 	}
+}
+
+// ExactTriangleDistance computes, by exhaustive search over removal
+// subsets of the triangle edges, the minimum number of edge removals that
+// make g triangle-free. It is exponential and intended only for tests on
+// tiny graphs (panics if more than 24 edges participate in triangles).
+func (g *Graph) ExactTriangleDistance() int {
+	tri := g.Triangles(-1)
+	if len(tri) == 0 {
+		return 0
+	}
+	// Collect the edges participating in triangles; removals outside this
+	// set are never useful. The candidate set is tiny (≤ 24 edges), so a
+	// keyed slice with linear lookup replaces the former map[uint64]int.
+	var edges []Edge
+	indexOf := func(e Edge) int {
+		for i, x := range edges {
+			if x == e {
+				return i
+			}
+		}
+		return -1
+	}
+	for _, t := range tri {
+		for _, e := range t.Edges() {
+			if indexOf(e) < 0 {
+				edges = append(edges, e)
+			}
+		}
+	}
+	if len(edges) > 24 {
+		panic("graph: ExactTriangleDistance limited to 24 triangle edges")
+	}
+	// Each triangle is a 3-bit mask over the candidate edges; a removal set
+	// is feasible iff it hits every mask.
+	masks := make([]uint32, len(tri))
+	for i, t := range tri {
+		var m uint32
+		for _, e := range t.Edges() {
+			m |= 1 << uint(indexOf(e))
+		}
+		masks[i] = m
+	}
+	best := len(edges)
+	for s := uint32(0); s < 1<<uint(len(edges)); s++ {
+		if bits.OnesCount32(s) >= best {
+			continue
+		}
+		ok := true
+		for _, m := range masks {
+			if s&m == 0 {
+				ok = false
+				break
+			}
+		}
+		if ok {
+			best = bits.OnesCount32(s)
+		}
+	}
+	return best
 }

@@ -7,12 +7,12 @@ import (
 	"tricomm"
 	"tricomm/internal/harness/runner"
 	"tricomm/internal/scenario"
+	"tricomm/internal/service"
 )
 
 // This file is the harness's bridge to the scenario layer
-// (internal/scenario): a generic per-trial runner for any declarative
-// instance spec (behind benchtable -scenario), and the E14 sweep over
-// the registered families.
+// (internal/scenario): a per-trial runner for any job spec (behind
+// benchtable -scenario), and the E14 sweep over the registered families.
 
 // ScenarioTrial is one trial's outcome of a scenario run — the typed
 // form behind ScenarioTable, and what the cross-surface parity golden
@@ -34,103 +34,39 @@ type ScenarioTrial struct {
 	// N, M are the generated instance's sizes.
 	N, M int
 	// Checked and HasTriangle report the ground-truth audit (only when
-	// ScenarioConfig.Check is set): whether the instance contains any
-	// triangle at all.
+	// the job sets Check): whether the instance contains any triangle at
+	// all.
 	Checked     bool
 	HasTriangle bool
 }
 
-// ScenarioConfig declares a scenario run: the spec plus the cluster and
-// tester selectors, all in their CLI name forms so benchtable, tests,
-// and the service speak the same vocabulary.
-type ScenarioConfig struct {
-	// Spec is a scenario family name or JSON spec.
-	Spec string
-	// K and Scheme shape the split (ignored when the family prescribes
-	// the per-player assignment).
-	K      int
-	Scheme string
-	// Protocol and Transport name the tester and session transport.
-	Protocol  string
-	Transport string
-	// Eps is the tester's farness target (0 means the facade default).
-	Eps float64
-	// KnownDegree passes the instance's true average degree to the
-	// tester.
-	KnownDegree bool
-	// Check audits every trial against ground truth: a "found" verdict's
-	// witness must be a genuine triangle of the instance (an unsound
-	// witness fails the run), and each trial records whether the instance
-	// actually contains a triangle, so misses are visible. The audit uses
-	// the deterministic parallel kernel at RunConfig.IntraWorkers, which
-	// cannot change any result.
-	Check bool
-}
-
-// players is the defaulted player count — the one place the scenario
-// k default lives.
-func (sc ScenarioConfig) players() int {
-	if sc.K == 0 {
-		return 4
-	}
-	return sc.K
-}
-
-// RunScenarioTrials executes cfg.Trials trials of the scenario over the
-// shared worker pool. Trial i runs with TrialSeed(cfg.Seed, i) — the
-// same derivation the tricommd service uses — so every outcome here is
-// bit-identical to the same trial submitted as a service job or run via
-// tricomm.RunScenario.
-func RunScenarioTrials(ctx context.Context, cfg RunConfig, sc ScenarioConfig, trials int) ([]ScenarioTrial, error) {
-	sp, err := scenario.Parse(sc.Spec)
-	if err != nil {
-		return nil, err
-	}
-	proto, err := tricomm.ParseProtocol(sc.Protocol)
-	if err != nil {
-		return nil, err
-	}
-	scheme, err := tricomm.ParseSplitScheme(sc.Scheme)
-	if err != nil {
-		return nil, err
-	}
-	transp, err := tricomm.ParseTransport(sc.Transport)
-	if err != nil {
-		return nil, err
-	}
-	k := sc.players()
-	return runner.Map(ctx, cfg.jobs(), trials, func(ctx context.Context, trial int) (ScenarioTrial, error) {
-		seed := runner.TrialSeed(cfg.Seed, trial)
-		si, err := tricomm.GenerateScenario(sp.JSON(), int64(seed))
+// RunScenarioTrials executes js.Trials trials of the job over the shared
+// worker pool; js.Graph names a generator family (see
+// service.ParseGraphSpec). Trial i draws its instance and split from
+// TrialSeed(js.Seed, i) and runs through service.JobSpec.RunTrial — the
+// daemon's own trial path — so every outcome here is bit-identical to
+// the same trial submitted as a tricommd job. Unlike a submitted job, js
+// is taken as is: no defaults are filled in, so base seed 0 stays 0.
+//
+// With js.Check, every trial is audited against ground truth: a "found"
+// verdict's witness must be a genuine triangle of the instance (an
+// unsound witness fails the run), and each trial records whether the
+// instance actually contains a triangle, so misses are visible. The
+// audit uses the deterministic parallel kernel at cfg.IntraWorkers, which
+// cannot change any result.
+func RunScenarioTrials(ctx context.Context, cfg RunConfig, js service.JobSpec) ([]ScenarioTrial, error) {
+	intra := cfg.intraWorkers()
+	return runner.MapArena(ctx, cfg.jobs(), js.Trials, func(ctx context.Context, a *runner.Arena, trial int) (ScenarioTrial, error) {
+		seed := runner.TrialSeed(js.Seed, trial)
+		inst, err := js.Graph.Generate(a.Rand(int64(seed)))
 		if err != nil {
 			return ScenarioTrial{}, err
 		}
-		cl, err := si.Cluster(k, scheme, seed)
-		if err != nil {
-			return ScenarioTrial{}, err
-		}
-		opts := tricomm.Options{Protocol: proto, Eps: sc.Eps, Transport: transp}
-		if sc.KnownDegree {
-			opts.AvgDegree = si.Graph.AvgDegree()
-		}
-		rep, err := cl.Test(ctx, opts)
+		rep, err := js.RunTrial(ctx, inst, seed, intra)
 		if err != nil {
 			return ScenarioTrial{}, fmt.Errorf("trial %d (seed %d): %w", trial, seed, err)
 		}
-		checked, hasTri := false, false
-		if sc.Check {
-			checked = true
-			_, hasTri = si.Graph.FindTriangleN(cfg.intraWorkers())
-			if !rep.TriangleFree {
-				w := rep.Witness
-				if !si.Graph.IsTriangle(w.A, w.B, w.C) {
-					return ScenarioTrial{}, fmt.Errorf(
-						"trial %d (seed %d): UNSOUND witness %v is not a triangle of the instance",
-						trial, seed, w)
-				}
-			}
-		}
-		return ScenarioTrial{
+		row := ScenarioTrial{
 			Trial:        trial,
 			Seed:         seed,
 			TriangleFree: rep.TriangleFree,
@@ -138,29 +74,33 @@ func RunScenarioTrials(ctx context.Context, cfg RunConfig, sc ScenarioConfig, tr
 			Bits:         rep.Bits,
 			WireBytes:    rep.WireBytes,
 			Rounds:       rep.Rounds,
-			CertEps:      si.CertEps,
-			N:            si.Graph.N(),
-			M:            si.Graph.M(),
-			Checked:      checked,
-			HasTriangle:  hasTri,
-		}, nil
+			CertEps:      inst.CertEps,
+			N:            inst.G.N(),
+			M:            inst.G.M(),
+		}
+		if js.Check {
+			has, witnessOK := service.GroundTruth(inst.G, rep, intra)
+			if !witnessOK {
+				return ScenarioTrial{}, fmt.Errorf(
+					"trial %d (seed %d): UNSOUND witness %v is not a triangle of the instance",
+					trial, seed, rep.Witness)
+			}
+			row.Checked, row.HasTriangle = true, has
+		}
+		return row, nil
 	})
 }
 
 // ScenarioTable renders a scenario run as a benchtable-style table: one
 // row per trial plus the canonical spec as a note.
-func ScenarioTable(ctx context.Context, cfg RunConfig, sc ScenarioConfig, trials int) (*Table, error) {
-	sp, err := scenario.Parse(sc.Spec)
-	if err != nil {
-		return nil, err
-	}
-	rows, err := RunScenarioTrials(ctx, cfg, sc, trials)
+func ScenarioTable(ctx context.Context, cfg RunConfig, js service.JobSpec) (*Table, error) {
+	rows, err := RunScenarioTrials(ctx, cfg, js)
 	if err != nil {
 		return nil, err
 	}
 	t := &Table{
 		ID:    "scenario",
-		Title: fmt.Sprintf("%s × %s", sp.Family, sc.Protocol),
+		Title: fmt.Sprintf("%s × %s", js.Graph.Family, js.Protocol),
 		Columns: []string{"trial", "seed", "n", "m", "verdict", "witness",
 			"bits", "wire_bytes", "rounds", "cert_eps"},
 	}
@@ -172,13 +112,13 @@ func ScenarioTable(ctx context.Context, cfg RunConfig, sc ScenarioConfig, trials
 		t.AddRow(r.Trial, fmt.Sprintf("%d", r.Seed), r.N, r.M, verdict, witness,
 			r.Bits, r.WireBytes, r.Rounds, r.CertEps)
 	}
-	t.AddNote("spec: %s", sp.JSON())
+	t.AddNote("spec: %s", js.Graph.JSON())
 	t.AddNote("k=%d scheme=%s transport=%s (seed-exact with tricomm.RunScenario and tricommd jobs)",
-		sc.players(), sc.Scheme, sc.Transport)
+		js.K, js.Partition, js.Transport)
 	// The audit note is deterministic in (spec, seed, trials) only — never
 	// in the worker counts — so checked output stays byte-identical at any
 	// -jobs or intra-trial width.
-	if sc.Check {
+	if js.Check {
 		misses, withTri := 0, 0
 		for _, r := range rows {
 			if r.HasTriangle {
@@ -217,9 +157,14 @@ func e14ScenarioSweep() Experiment {
 			}
 			trials := cfg.trials(3)
 			for _, fam := range families {
-				rows, err := RunScenarioTrials(ctx, cfg, ScenarioConfig{
-					Spec: fam, K: 4, Protocol: "sim-oblivious", KnownDegree: false, Eps: 0.2,
-				}, trials)
+				g, err := service.ParseGraphSpec(fam)
+				if err != nil {
+					return nil, err
+				}
+				rows, err := RunScenarioTrials(ctx, cfg, service.JobSpec{
+					Graph: g, K: 4, Protocol: "sim-oblivious", Eps: 0.2,
+					Trials: trials, Seed: cfg.Seed,
+				})
 				if err != nil {
 					return nil, err
 				}
@@ -232,8 +177,7 @@ func e14ScenarioSweep() Experiment {
 					bits += float64(r.Bits)
 				}
 				last := rows[len(rows)-1]
-				sp, _ := scenario.Parse(fam)
-				f, _ := scenario.Lookup(sp.Family)
+				f, _ := scenario.Lookup(g.Family)
 				t.AddRow(fam, last.N, last.M, 2*float64(last.M)/float64(last.N), trials,
 					found, bits/float64(trials), last.CertEps, f.TriangleFree)
 			}

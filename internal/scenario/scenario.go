@@ -1,9 +1,10 @@
 // Package scenario is the declarative instance layer: a JSON-serializable
 // Spec names a workload family plus its typed parameters, and a registry
 // maps family names onto deterministic constructors. Every consumer of
-// instances — the facade (tricomm.RunScenario), the experiment harness,
-// the tricommd service, and the CLIs — goes through this one registry, so
-// adding a family here makes it reachable everywhere at once.
+// instances — the facade (GenerateScenario → si.Cluster → Cluster.Test),
+// the experiment harness, the tricommd service, and the CLIs — goes
+// through this one registry, so adding a family here makes it reachable
+// everywhere at once.
 //
 // Determinism contract: Build(spec, rng) is a pure function of the
 // canonical spec and the rng state, so any trial is reproducible from

@@ -265,23 +265,6 @@ func (s JobSpec) Validate() error {
 	return nil
 }
 
-// options maps the spec to facade options for one trial's graph.
-func (s JobSpec) options(avgDegree float64) (tricomm.Options, error) {
-	p, err := tricomm.ParseProtocol(s.Protocol)
-	if err != nil {
-		return tricomm.Options{}, err
-	}
-	tr, err := tricomm.ParseTransport(s.Transport)
-	if err != nil {
-		return tricomm.Options{}, err
-	}
-	opts := tricomm.Options{Protocol: p, Eps: s.Eps, Transport: tr, Faults: s.Faults}
-	if s.KnownDegree {
-		opts.AvgDegree = avgDegree
-	}
-	return opts, nil
-}
-
 // TrialOutcome is one trial's result, streamed to watchers as it lands.
 type TrialOutcome struct {
 	// Trial is the trial index in [0, Trials).

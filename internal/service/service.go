@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
-	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -607,6 +606,9 @@ func (s *Server) run(j *job) {
 // ones and produces results byte-identical to an uninterrupted run.
 func (s *Server) runTrials(j *job) error {
 	spec := j.spec
+	if spec.Faults == "" {
+		spec.Faults = s.cfg.DefaultFaults
+	}
 
 	// An uploaded edge list is one immutable instance shared by all trials
 	// (only the split seed varies); generator families redraw per trial.
@@ -631,47 +633,21 @@ func (s *Server) runTrials(j *job) error {
 			mTrialsRun.Inc()
 			trialStart := time.Now()
 			seed := runner.TrialSeed(spec.Seed, trial)
-			g := uploaded
-			var players [][]tricomm.Edge
-			if g == nil {
-				inst, gerr := generate(spec.Graph, a.Rand(int64(seed)))
-				if gerr != nil {
-					return struct{}{}, gerr
+			inst := scenario.Instance{G: uploaded}
+			if uploaded == nil {
+				var err error
+				if inst, err = spec.Graph.Generate(a.Rand(int64(seed))); err != nil {
+					return struct{}{}, err
 				}
-				g = inst.G
-				players = inst.Players
 			}
-			scheme, err := tricomm.ParseSplitScheme(spec.Partition)
-			if err != nil {
-				return struct{}{}, err
-			}
-			// A family that prescribes the per-player assignment overrides
-			// the job's split scheme (the assignment IS the scenario).
-			var cl *tricomm.Cluster
-			if players != nil {
-				cl, err = tricomm.NewCluster(g.N(), players, seed)
-			} else {
-				cl, err = tricomm.Split(g, spec.K, scheme, seed)
-			}
-			if err != nil {
-				return struct{}{}, err
-			}
-			opts, err := spec.options(g.AvgDegree())
-			if err != nil {
-				return struct{}{}, err
-			}
-			if opts.Faults == "" {
-				opts.Faults = s.cfg.DefaultFaults
-			}
-			opts.IntraWorkers = s.cfg.IntraWorkers
 			timeout := time.Duration(spec.TrialTimeoutMS) * time.Millisecond
 			if timeout <= 0 {
 				timeout = s.cfg.TrialTimeout
 			}
 
 			// Run the trial, re-running aborted or timed-out sessions with
-			// the SAME trial seed up to the retry budget. The cluster and
-			// options are reused verbatim, so a retry replays the identical
+			// the SAME trial seed up to the retry budget. The instance and
+			// spec are reused verbatim, so a retry replays the identical
 			// experiment; only timing-dependent failures (trial timeouts,
 			// wall-clock stalls) can come out differently. A trial that
 			// exhausts the budget is recorded aborted, not fatal: the job's
@@ -684,7 +660,7 @@ func (s *Server) runTrials(j *job) error {
 				if timeout > 0 {
 					tctx, cancel = context.WithTimeout(ctx, timeout)
 				}
-				rep, runErr = cl.Test(tctx, opts)
+				rep, runErr = spec.RunTrial(tctx, inst, seed, s.cfg.IntraWorkers)
 				timedOut := runErr != nil && tctx.Err() != nil && ctx.Err() == nil
 				cancel()
 				if runErr == nil || ctx.Err() != nil {
@@ -725,7 +701,7 @@ func (s *Server) runTrials(j *job) error {
 					out.Witness = &[3]int{rep.Witness.A, rep.Witness.B, rep.Witness.C}
 				}
 				if spec.Check {
-					_, has := g.FindTriangleN(s.cfg.IntraWorkers)
+					has, _ := GroundTruth(inst.G, rep, s.cfg.IntraWorkers)
 					out.HasTriangle = &has
 				}
 			}
@@ -742,20 +718,6 @@ func (s *Server) runTrials(j *job) error {
 			return struct{}{}, nil
 		})
 	return err
-}
-
-// generate draws a generator-spec instance from the trial rng via the
-// scenario registry. The constructions match the tricomm facade exactly
-// (GenerateScenario seeds a fresh rand.Source; the runner arena reseeds
-// in place, which produces the identical sequence), so clients can
-// regenerate any trial's instance with the public API and audit the
-// verdict.
-func generate(gs GraphSpec, rng *rand.Rand) (scenario.Instance, error) {
-	sp, err := gs.scenarioSpec()
-	if err != nil {
-		return scenario.Instance{}, err
-	}
-	return scenario.Build(sp, rng)
 }
 
 // Stats is the service-level counter snapshot for the /v1/stats endpoint.

@@ -249,11 +249,3 @@ func BitsFor(n int) int {
 	}
 	return bits.Len64(uint64(n - 1))
 }
-
-// GammaBits reports the encoded size in bits of WriteGamma(v), v ≥ 1.
-func GammaBits(v uint64) int {
-	if v == 0 {
-		panic("wire: GammaBits requires v >= 1")
-	}
-	return 2*bits.Len64(v) - 1
-}

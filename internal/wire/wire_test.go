@@ -3,6 +3,7 @@ package wire
 import (
 	"encoding/binary"
 	"errors"
+	"math/bits"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -272,4 +273,12 @@ func TestFuzzLikeRandomSequences(t *testing.T) {
 			t.Fatalf("trial %d: %d bits left over", trial, r.Remaining())
 		}
 	}
+}
+
+// GammaBits reports the encoded size in bits of WriteGamma(v), v ≥ 1.
+func GammaBits(v uint64) int {
+	if v == 0 {
+		panic("wire: GammaBits requires v >= 1")
+	}
+	return 2*bits.Len64(v) - 1
 }

@@ -1,8 +1,9 @@
 package tricomm_test
 
 // Cross-surface scenario parity: every scenario family must be reachable
-// through the Go API (tricomm.RunScenario), the harness/benchtable path
-// (harness.RunScenarioTrials), and the tricommd service — with seed-exact
+// through the Go API (GenerateScenario → si.Cluster → Cluster.Test), the
+// harness/benchtable path (harness.RunScenarioTrials), and the tricommd
+// service — with seed-exact
 // verdict, witness, bits, and WireBytes across all three. The pinned
 // literal values below additionally freeze the chung-lu case against the
 // current construction, so silent generator drift fails loudly.
@@ -44,8 +45,9 @@ const (
 	parityTrials   = 2
 )
 
-// facadeTrial runs one trial through tricomm.RunScenario with the same
-// derivation the harness and service use.
+// facadeTrial runs one trial through the Go API path GenerateScenario →
+// si.Cluster → Cluster.Test with the same derivation the harness and
+// service use.
 func facadeTrial(t *testing.T, pc parityCase, trial int) tricomm.Report {
 	t.Helper()
 	proto, err := tricomm.ParseProtocol(pc.protocol)
@@ -56,13 +58,35 @@ func facadeTrial(t *testing.T, pc parityCase, trial int) tricomm.Report {
 	if err != nil {
 		t.Fatal(err)
 	}
-	rep, err := tricomm.RunScenario(context.Background(),
-		tricomm.Options{Scenario: pc.spec, Protocol: proto, Eps: pc.eps},
-		pc.k, scheme, runner.TrialSeed(parityBaseSeed, trial))
+	seed := runner.TrialSeed(parityBaseSeed, trial)
+	si, err := tricomm.GenerateScenario(pc.spec, int64(seed))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl, err := si.Cluster(pc.k, scheme, seed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := cl.Test(context.Background(), tricomm.Options{Protocol: proto, Eps: pc.eps})
 	if err != nil {
 		t.Fatal(err)
 	}
 	return rep
+}
+
+// parityJob is the case as one job spec, shared by the harness and
+// service surfaces.
+func parityJob(t *testing.T, pc parityCase) service.JobSpec {
+	t.Helper()
+	return service.JobSpec{
+		Graph:     graphSpecFromScenario(t, pc.spec),
+		K:         pc.k,
+		Partition: pc.scheme,
+		Protocol:  pc.protocol,
+		Eps:       pc.eps,
+		Trials:    parityTrials,
+		Seed:      parityBaseSeed,
+	}
 }
 
 func TestScenarioParityAcrossSurfaces(t *testing.T) {
@@ -73,24 +97,13 @@ func TestScenarioParityAcrossSurfaces(t *testing.T) {
 	for _, pc := range parityCases {
 		t.Run(pc.name, func(t *testing.T) {
 			// Surface 1: the harness/benchtable path.
-			hTrials, err := harness.RunScenarioTrials(ctx,
-				harness.RunConfig{Seed: parityBaseSeed, Jobs: 2},
-				harness.ScenarioConfig{Spec: pc.spec, K: pc.k, Scheme: pc.scheme,
-					Protocol: pc.protocol, Eps: pc.eps}, parityTrials)
+			hTrials, err := harness.RunScenarioTrials(ctx, harness.RunConfig{Jobs: 2}, parityJob(t, pc))
 			if err != nil {
 				t.Fatal(err)
 			}
 
 			// Surface 2: a tricommd service job.
-			ji, err := srv.Submit(service.JobSpec{
-				Graph:     graphSpecFromScenario(t, pc.spec),
-				K:         pc.k,
-				Partition: pc.scheme,
-				Protocol:  pc.protocol,
-				Eps:       pc.eps,
-				Trials:    parityTrials,
-				Seed:      parityBaseSeed,
-			})
+			ji, err := srv.Submit(parityJob(t, pc))
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -105,7 +105,7 @@ type ScenarioInstance struct {
 	// TriangleFree reports the construction guarantees no triangle.
 	TriangleFree bool
 	// Players, when non-nil, is the family-prescribed per-player edge
-	// assignment; RunScenario uses it instead of the split scheme.
+	// assignment; Cluster uses it instead of the split scheme.
 	Players [][]Edge
 	// Spec is the canonical JSON spec that regenerates this instance with
 	// the same seed.
@@ -144,33 +144,16 @@ func ScenarioUsage() string { return scenario.Usage() }
 
 // Cluster builds the cluster a scenario instance declares: the
 // family-prescribed per-player assignment when there is one, otherwise
-// the given split of the generated graph.
+// the given split of the generated graph. GenerateScenario → si.Cluster →
+// Cluster.Test is the Go API path from a declarative spec to a Report; it
+// is seed-exact with the tricommd service: a job with the same scenario,
+// options, and per-trial seed produces the identical verdict, bit count,
+// and wire traffic.
 func (si ScenarioInstance) Cluster(k int, scheme SplitScheme, seed uint64) (*Cluster, error) {
 	if si.Players != nil {
 		return NewCluster(si.Graph.N(), si.Players, seed)
 	}
 	return Split(si.Graph, k, scheme, seed)
-}
-
-// RunScenario generates the instance opts.Scenario declares (seeded
-// deterministically), splits it among k players, and runs the selected
-// tester — the one-call path from a declarative spec to a Report. It is
-// seed-exact with the tricommd service: a job with the same scenario,
-// options, and per-trial seed produces the identical verdict, bit count,
-// and wire traffic.
-func RunScenario(ctx context.Context, opts Options, k int, scheme SplitScheme, seed uint64) (Report, error) {
-	if opts.Scenario == "" {
-		return Report{}, errors.New("tricomm: RunScenario needs Options.Scenario")
-	}
-	si, err := GenerateScenario(opts.Scenario, int64(seed))
-	if err != nil {
-		return Report{}, err
-	}
-	cl, err := si.Cluster(k, scheme, seed)
-	if err != nil {
-		return Report{}, err
-	}
-	return cl.Test(ctx, opts)
 }
 
 // SplitScheme selects how a graph's edges are divided among players.
@@ -444,11 +427,6 @@ type Options struct {
 	// Transport selects what carries the coordinator-model sessions
 	// (default in-process channels). Results are transport-independent.
 	Transport Transport
-	// Scenario declares the instance under test for RunScenario: a
-	// registered family name or a JSON spec (see ScenarioUsage for the
-	// catalog). Cluster.Test ignores it — the cluster already holds its
-	// instance.
-	Scenario string
 	// Faults injects deterministic link faults into the run: "" / "off" /
 	// "none" (no faults), a preset name ("lossy", "chaos"), or a JSON
 	// transport.FaultSpec. With faults enabled every link is hardened with

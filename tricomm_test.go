@@ -156,3 +156,76 @@ func TestFacadeAssumeDisjoint(t *testing.T) {
 		t.Fatal("phantom witness under disjointness promise")
 	}
 }
+
+func TestParseSplitScheme(t *testing.T) {
+	want := map[string]SplitScheme{
+		"":          SplitDisjoint,
+		"disjoint":  SplitDisjoint,
+		"duplicate": SplitDuplicate,
+		"byvertex":  SplitByVertex,
+		"all":       SplitAll,
+	}
+	for _, name := range SplitSchemeNames() {
+		if _, ok := want[name]; !ok {
+			t.Errorf("SplitSchemeNames lists %q, which this table does not cover", name)
+		}
+	}
+	for in, w := range want {
+		if got, err := ParseSplitScheme(in); err != nil || got != w {
+			t.Errorf("ParseSplitScheme(%q) = %v, %v; want %v", in, got, err, w)
+		}
+	}
+	if _, err := ParseSplitScheme("bogus"); err == nil {
+		t.Error("bogus split scheme accepted")
+	}
+}
+
+func TestParseProtocol(t *testing.T) {
+	want := map[string]Protocol{
+		"":              SimultaneousOblivious,
+		"auto":          SimultaneousOblivious,
+		"interactive":   Interactive,
+		"blackboard":    InteractiveBlackboard,
+		"sim-low":       SimultaneousLow,
+		"sim-high":      SimultaneousHigh,
+		"sim-oblivious": SimultaneousOblivious,
+		"exact":         Exact,
+	}
+	for _, name := range ProtocolNames() {
+		if _, ok := want[name]; !ok {
+			t.Errorf("ProtocolNames lists %q, which this table does not cover", name)
+		}
+	}
+	for in, w := range want {
+		if got, err := ParseProtocol(in); err != nil || got != w {
+			t.Errorf("ParseProtocol(%q) = %v, %v; want %v", in, got, err, w)
+		}
+	}
+	if _, err := ParseProtocol("bogus"); err == nil {
+		t.Error("bogus protocol accepted")
+	}
+}
+
+func TestParseTransport(t *testing.T) {
+	want := map[string]Transport{
+		"":           TransportInProcess,
+		"in-process": TransportInProcess,
+		"chan":       TransportInProcess,
+		"pipe":       TransportPipe,
+		"tcp":        TransportTCP,
+		"wan":        TransportWAN,
+	}
+	for _, name := range TransportNames() {
+		if _, ok := want[name]; !ok {
+			t.Errorf("TransportNames lists %q, which this table does not cover", name)
+		}
+	}
+	for in, w := range want {
+		if got, err := ParseTransport(in); err != nil || got != w {
+			t.Errorf("ParseTransport(%q) = %v, %v; want %v", in, got, err, w)
+		}
+	}
+	if _, err := ParseTransport("bogus"); err == nil {
+		t.Error("bogus transport accepted")
+	}
+}
