@@ -70,7 +70,7 @@ func run() error {
 		csvDir   = flag.String("csv", "", "directory to write per-experiment CSVs")
 		trials   = flag.Int("trials", 0, "override per-point trial count")
 		jobs     = flag.Int("jobs", 0, "trial worker count (<= 0: GOMAXPROCS); tables are identical at any value")
-		intraW   = flag.Int("intra-workers", 0, "goroutines per trial for the parallel graph kernels (<= 0: $TRICOMM_INTRA_WORKERS, then 1); tables are identical at any value")
+		intraW   = flag.Int("intra-workers", 0, "goroutines per trial for the parallel graph kernels (<= 0: 1); tables are identical at any value")
 		parallel = flag.Int("parallel", 1, "experiments to run concurrently (output order is preserved; each carries its own -jobs pool, so in-flight trials ≈ jobs×parallel)")
 		jsonOut  = flag.Bool("json", false, "emit a JSON array of tables on stdout instead of text")
 		scen     = flag.String("scenario", "", "run one scenario (a registry family name or JSON spec) instead of the experiments")

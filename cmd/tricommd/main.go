@@ -94,7 +94,7 @@ func run() error {
 		workers   = flag.Int("workers", 2, "concurrent jobs")
 		queue     = flag.Int("queue", 64, "queued-job bound (503 beyond it)")
 		trialJobs = flag.Int("trial-jobs", 1, "per-job trial parallelism")
-		intraW    = flag.Int("intra-workers", 0, "goroutines per trial for the parallel graph kernels (<= 0: $TRICOMM_INTRA_WORKERS, then 1); results are identical at any value")
+		intraW    = flag.Int("intra-workers", 0, "goroutines per trial for the parallel graph kernels (<= 0: 1); results are identical at any value")
 		keep      = flag.Int("keep", 4096, "finished jobs retained for GET")
 		db        = flag.String("db", "", "path to the embedded on-disk job store; jobs survive restarts and unfinished ones resume (empty: in-memory only)")
 		ttl       = flag.Duration("ttl", 0, "additionally expire finished jobs this long after completion (0: only the -keep count bound)")

@@ -75,7 +75,7 @@ func run() (int, error) {
 	var (
 		listScen = flag.Bool("list-scenarios", false, "print the scenario catalog and exit")
 		server   = flag.String("server", "", "audit a running tricommd at this base URL instead of running locally")
-		intraW   = flag.Int("intra-workers", 0, "goroutines for the session's per-player hot loops and the ground-truth triangle search (<= 0: $TRICOMM_INTRA_WORKERS, then 1); reports are identical at any value")
+		intraW   = flag.Int("intra-workers", 0, "goroutines for the session's per-player hot loops and the ground-truth triangle search (<= 0: 1); reports are identical at any value")
 	)
 	flag.Parse()
 	intraWorkers = tricomm.IntraWorkers(*intraW)

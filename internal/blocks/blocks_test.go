@@ -22,11 +22,11 @@ func runCoord(t *testing.T, g *graph.Graph, pt partition.Partitioner, k int, see
 	t.Helper()
 	shared := xrand.New(seed)
 	p := pt.Split(g, k, shared)
-	stats, err := comm.Run(context.Background(), comm.Config{
-		N:      g.N(),
-		Inputs: p.Inputs,
-		Shared: shared,
-	}, coord, comm.ServeLoop(Handle))
+	top, err := comm.NewTopology(g.N(), p.Inputs, shared)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := comm.RunOn(context.Background(), top, coord, comm.ServeLoop(Handle))
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -367,7 +367,11 @@ func TestHandleRejectsGarbage(t *testing.T) {
 	g := graph.Complete(4)
 	shared := xrand.New(22)
 	p := partition.Disjoint{}.Split(g, 2, shared)
-	_, err := comm.Run(context.Background(), comm.Config{N: g.N(), Inputs: p.Inputs, Shared: shared},
+	top, err := comm.NewTopology(g.N(), p.Inputs, shared)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, err = comm.RunOn(context.Background(), top,
 		func(ctx context.Context, c *comm.Coordinator) error {
 			var w wire.Writer
 			w.WriteUvarint(9999) // unknown opcode

@@ -21,8 +21,8 @@ import (
 // session so Handle can be driven directly.
 func handlePlayer(g *graph.Graph) *comm.Player {
 	edges := g.Edges()
-	return &comm.Player{ID: 0, K: 2, N: g.N(), Edges: edges,
-		View: graph.FromEdges(g.N(), edges), Shared: xrand.New(1), Workers: 1}
+	return &comm.Player{SimPlayer: comm.SimPlayer{ID: 0, K: 2, N: g.N(), Edges: edges,
+		View: graph.FromEdges(g.N(), edges), Shared: xrand.New(1), Workers: 1}}
 }
 
 // sampleTestRequest encodes an opSampleTest request the way sampleRound
@@ -116,7 +116,11 @@ func recordedRequests(tb testing.TB, g *graph.Graph) []comm.Msg {
 		}
 		return Handle(p, req)
 	}
-	_, err := comm.Run(context.Background(), comm.Config{N: g.N(), Inputs: pt.Inputs, Shared: shared},
+	top, err := comm.NewTopology(g.N(), pt.Inputs, shared)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	_, err = comm.RunOn(context.Background(), top,
 		func(ctx context.Context, c *comm.Coordinator) error {
 			if _, err := EdgeQuery(ctx, c, wire.Edge{U: 0, V: 1}); err != nil {
 				return err

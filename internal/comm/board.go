@@ -68,17 +68,13 @@ type OneWayResult struct {
 // RunOneWay executes the 3-player "extended one-way" model of §4.2.2:
 // Alice speaks from her input, Bob speaks after seeing Alice's message,
 // and Charlie — who observes the whole transcript — computes the output.
-// cfg must have exactly three inputs (Alice = 0, Bob = 1, Charlie = 2).
+// top must have exactly three players (Alice = 0, Bob = 1, Charlie = 2).
 func RunOneWay(
-	cfg Config,
+	top *Topology,
 	alice func(p *SimPlayer) (Msg, error),
 	bob func(p *SimPlayer, aliceMsg Msg) (Msg, error),
 	charlie func(p *SimPlayer, aliceMsg, bobMsg Msg) error,
 ) (res OneWayResult, err error) {
-	top, err := cfg.Topology()
-	if err != nil {
-		return OneWayResult{}, err
-	}
 	start := time.Now()
 	defer func() { observeSession("oneway", start, res.Stats, nil, nil, err) }()
 	if top.K() != 3 {

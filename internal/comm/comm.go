@@ -3,12 +3,12 @@
 //
 // Four models are provided:
 //
-//   - Run/RunOn: the coordinator model (§2). k player goroutines hold
+//   - RunOn: the coordinator model (§2). k player goroutines hold
 //     private inputs and exchange messages with a coordinator over private
 //     links; the coordinator drives rounds and outputs the answer. Cost is
 //     the total number of message bits in both directions.
 //
-//   - RunSimultaneous/RunSimultaneousOn: the simultaneous model. Each
+//   - RunSimultaneousOn: the simultaneous model. Each
 //     player computes a single message from its input and the shared
 //     randomness; a referee sees only the k messages.
 //
@@ -23,10 +23,9 @@
 //   - Topology: the per-instance state that is expensive to build and
 //     cheap to share — the players' local graph views (graph.FromEdges
 //     over each input). Views materialize lazily, exactly once, and are
-//     safe for concurrent readers. Protocols that run repeatedly against
-//     one cluster should build a Topology once (Config.Topology or
-//     NewTopology) and use the *On entry points; Config is the throwaway
-//     form.
+//     safe for concurrent readers. A Topology is the only description of
+//     a session's input: build it once per cluster with NewTopology and
+//     run every model over it.
 //
 //   - Session: one protocol execution over a Topology. A session owns the
 //     transport links, the goroutines, and a Meter; it dies with the run
@@ -58,13 +57,7 @@
 // bounds speak about.
 package comm
 
-import (
-	"errors"
-	"fmt"
-
-	"tricomm/internal/wire"
-	"tricomm/internal/xrand"
-)
+import "errors"
 
 // Sentinel errors for the coordinator model.
 var (
@@ -75,7 +68,7 @@ var (
 	// ErrCanceled is returned when the run context is canceled.
 	ErrCanceled = errors.New("comm: run canceled")
 	// ErrPlayerDone is returned from Coordinator.Recv when the player has
-	// terminated (usually with an error of its own, which Run reports).
+	// terminated (usually with an error of its own, which RunOn reports).
 	ErrPlayerDone = errors.New("comm: player terminated")
 	// ErrSessionAborted is returned when a session dies to link faults: a
 	// hard disconnect, an exhausted retransmit budget, or a per-message
@@ -85,37 +78,3 @@ var (
 	// hangs, leaks, or reports an unsound verdict.
 	ErrSessionAborted = errors.New("comm: session aborted")
 )
-
-// Config describes a protocol instance: the vertex universe, the players'
-// private inputs, and the shared randomness. A Config is the throwaway
-// form; Topology is the reusable one (see Config.Topology).
-type Config struct {
-	// N is the number of vertices of the underlying graph.
-	N int
-	// Inputs[j] is player j's private edge set. len(Inputs) is k.
-	Inputs [][]wire.Edge
-	// Shared is the public random string all parties can read.
-	Shared *xrand.Shared
-}
-
-// K reports the number of players.
-func (c Config) K() int { return len(c.Inputs) }
-
-// Validate checks the config invariants shared by every model.
-func (c Config) Validate() error {
-	if c.N < 0 {
-		return fmt.Errorf("comm: negative vertex count %d", c.N)
-	}
-	if len(c.Inputs) == 0 {
-		return errors.New("comm: no players")
-	}
-	if c.Shared == nil {
-		return errors.New("comm: nil shared randomness")
-	}
-	return nil
-}
-
-// Topology builds a fresh reusable topology from the config.
-func (c Config) Topology() (*Topology, error) {
-	return NewTopology(c.N, c.Inputs, c.Shared)
-}

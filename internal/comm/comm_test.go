@@ -7,21 +7,10 @@ import (
 	"testing"
 	"time"
 
-	"tricomm/internal/graph"
 	"tricomm/internal/transport"
 	"tricomm/internal/wire"
 	"tricomm/internal/xrand"
 )
-
-func testConfig(k int) Config {
-	g := graph.Complete(6)
-	edges := g.Edges()
-	inputs := make([][]wire.Edge, k)
-	for i, e := range edges {
-		inputs[i%k] = append(inputs[i%k], e)
-	}
-	return Config{N: 6, Inputs: inputs, Shared: xrand.New(1)}
-}
 
 // ack is a conventional 1-bit acknowledgement message.
 func ack() Msg {
@@ -65,9 +54,9 @@ func TestEmptyAndAck(t *testing.T) {
 }
 
 func TestRunRequestReply(t *testing.T) {
-	cfg := testConfig(4)
+	top := testTopology(t, 6, 4)
 	var reported []int64
-	stats, err := Run(context.Background(), cfg,
+	stats, err := RunOn(context.Background(), top,
 		func(ctx context.Context, c *Coordinator) error {
 			// Ask every player how many edges it holds.
 			replies, err := c.AskAll(ctx, ack())
@@ -117,8 +106,8 @@ func TestRunRequestReply(t *testing.T) {
 }
 
 func TestRunPlayerViews(t *testing.T) {
-	cfg := testConfig(3)
-	_, err := Run(context.Background(), cfg,
+	top := testTopology(t, 6, 3)
+	_, err := RunOn(context.Background(), top,
 		func(ctx context.Context, c *Coordinator) error {
 			_, err := c.AskAll(ctx, ack())
 			return err
@@ -141,11 +130,11 @@ func TestRunPlayerViews(t *testing.T) {
 
 func TestRunGracefulShutdown(t *testing.T) {
 	// Players blocked in Recv must exit when the coordinator returns.
-	cfg := testConfig(5)
+	top := testTopology(t, 6, 5)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_, err := Run(context.Background(), cfg,
+		_, err := RunOn(context.Background(), top,
 			func(ctx context.Context, c *Coordinator) error {
 				return nil // immediately finish without talking to anyone
 			},
@@ -168,11 +157,11 @@ func TestRunGracefulShutdown(t *testing.T) {
 }
 
 func TestRunPlayerBlockedInSendShutsDown(t *testing.T) {
-	cfg := testConfig(2)
+	top := testTopology(t, 6, 2)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_, err := Run(context.Background(), cfg,
+		_, err := RunOn(context.Background(), top,
 			func(ctx context.Context, c *Coordinator) error {
 				return nil
 			},
@@ -204,12 +193,12 @@ func TestRunPlayerBlockedInSendShutsDown(t *testing.T) {
 }
 
 func TestRunContextCancellation(t *testing.T) {
-	cfg := testConfig(2)
+	top := testTopology(t, 6, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		_, err := Run(ctx, cfg,
+		_, err := RunOn(ctx, top,
 			func(ctx context.Context, c *Coordinator) error {
 				// Wait for a message that never comes; must unblock on cancel.
 				_, err := c.Recv(ctx, 0)
@@ -249,7 +238,7 @@ func (closedFirst) Recv(context.Context) (transport.Frame, error) {
 func TestCanceledRunAfterPlayerExit(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	_, err := Run(ctx, testConfig(2),
+	_, err := RunOn(ctx, testTopology(t, 6, 2),
 		func(ctx context.Context, c *Coordinator) error {
 			<-c.pdone[0]
 			if err := c.Send(ctx, 0, ack()); !errors.Is(err, ErrCanceled) {
@@ -269,9 +258,9 @@ func TestCanceledRunAfterPlayerExit(t *testing.T) {
 }
 
 func TestRunPlayerErrorPropagates(t *testing.T) {
-	cfg := testConfig(3)
+	top := testTopology(t, 6, 3)
 	wantErr := errors.New("player exploded")
-	_, err := Run(context.Background(), cfg,
+	_, err := RunOn(context.Background(), top,
 		func(ctx context.Context, c *Coordinator) error {
 			_, err := c.AskAll(ctx, ack())
 			return err
@@ -298,9 +287,9 @@ func TestRunPlayerErrorPropagates(t *testing.T) {
 }
 
 func TestRunCoordinatorErrorPropagates(t *testing.T) {
-	cfg := testConfig(2)
+	top := testTopology(t, 6, 2)
 	wantErr := errors.New("coordinator exploded")
-	_, err := Run(context.Background(), cfg,
+	_, err := RunOn(context.Background(), top,
 		func(ctx context.Context, c *Coordinator) error { return wantErr },
 		ServeLoop(func(p *Player, _ Msg) (Msg, error) { return ack(), nil }))
 	if !errors.Is(err, wantErr) {
@@ -308,27 +297,36 @@ func TestRunCoordinatorErrorPropagates(t *testing.T) {
 	}
 }
 
-func TestRunValidation(t *testing.T) {
-	if _, err := Run(context.Background(), Config{}, nil, nil); err == nil {
-		t.Fatal("empty config accepted")
+func TestNewTopologyValidation(t *testing.T) {
+	inputs := [][]wire.Edge{{{U: 0, V: 1}}, nil}
+	shared := xrand.New(1)
+	for _, tc := range []struct {
+		name   string
+		n      int
+		inputs [][]wire.Edge
+		shared *xrand.Shared
+		want   string
+	}{
+		{"empty", 0, nil, nil, "comm: no players"},
+		{"negative n", -1, inputs, shared, "comm: negative vertex count -1"},
+		{"no players", 6, nil, shared, "comm: no players"},
+		{"nil shared", 6, inputs, nil, "comm: nil shared randomness"},
+	} {
+		top, err := NewTopology(tc.n, tc.inputs, tc.shared)
+		if err == nil || err.Error() != tc.want || top != nil {
+			t.Errorf("%s: NewTopology = %v, %v; want error %q", tc.name, top, err, tc.want)
+		}
 	}
-	cfg := testConfig(2)
-	cfg.Shared = nil
-	if _, err := Run(context.Background(), cfg, nil, nil); err == nil {
-		t.Fatal("nil shared randomness accepted")
-	}
-	cfg = testConfig(2)
-	cfg.N = -1
-	if _, err := Run(context.Background(), cfg, nil, nil); err == nil {
-		t.Fatal("negative N accepted")
+	if _, err := NewTopology(6, inputs, shared); err != nil {
+		t.Fatalf("valid instance rejected: %v", err)
 	}
 }
 
 func TestMultiRoundProtocol(t *testing.T) {
 	// A 3-round ping protocol: verifies per-round accounting and that
 	// ServeLoop players survive multiple requests.
-	cfg := testConfig(3)
-	stats, err := Run(context.Background(), cfg,
+	top := testTopology(t, 6, 3)
+	stats, err := RunOn(context.Background(), top,
 		func(ctx context.Context, c *Coordinator) error {
 			for round := 0; round < 3; round++ {
 				if _, err := c.AskAll(ctx, ack()); err != nil {
@@ -350,8 +348,8 @@ func TestMultiRoundProtocol(t *testing.T) {
 }
 
 func TestPerPlayerAccounting(t *testing.T) {
-	cfg := testConfig(2)
-	stats, err := Run(context.Background(), cfg,
+	top := testTopology(t, 6, 2)
+	stats, err := RunOn(context.Background(), top,
 		func(ctx context.Context, c *Coordinator) error {
 			// Talk only to player 0.
 			var w wire.Writer

@@ -7,42 +7,20 @@ import (
 	"sync"
 	"time"
 
-	"tricomm/internal/graph"
 	"tricomm/internal/parwork"
 	"tricomm/internal/transport"
 	"tricomm/internal/xrand"
 )
 
-// Player is a player's endpoint in the coordinator model: its identity,
-// private input, the shared randomness, and its private link to the
-// coordinator. A Player is used only from its own goroutine.
+// Player is a player's endpoint in the coordinator model: the player's
+// view of the session (identity, private input, shared randomness — the
+// same view a SimPlayer has) plus its private link to the coordinator. A
+// Player is used only from its own goroutine.
 type Player struct {
-	// ID is the player index in [0, K).
-	ID int
-	// K is the number of players.
-	K int
-	// N is the vertex universe size.
-	N int
-	// Edges is the player's private input E_j.
-	Edges []graph.Edge
-	// View is the player's local graph (V, E_j), shared with (and cached
-	// by) the topology the session runs over.
-	View *graph.Graph
-	// Shared is the public randomness (identical on all parties).
-	Shared *xrand.Shared
-	// Workers is the resolved intra-phase worker count: hot local loops
-	// may fan across up to this many goroutines (via parwork). Always ≥ 1;
-	// results and bit accounting are identical at every value.
-	Workers int
+	SimPlayer
 
-	conn  transport.Conn
-	meter *Meter
+	conn transport.Conn
 }
-
-// ObserveParallel attributes d of wall clock to the session's intra-phase
-// parallel regions (observability only — never part of Stats). Safe on a
-// Player with no attached meter.
-func (p *Player) ObserveParallel(d time.Duration) { p.meter.ObserveParallel(d) }
 
 // Recv blocks for the next coordinator message. It returns ErrShutdown if
 // the coordinator has finished, or the context error if ctx is canceled.
@@ -147,8 +125,8 @@ func (c *Coordinator) Send(ctx context.Context, j int, m Msg) error {
 }
 
 // Recv blocks for the next message from player j. It returns
-// ErrPlayerDone if the player goroutine has exited (Run then surfaces the
-// player's own error).
+// ErrPlayerDone if the player goroutine has exited (RunOn then surfaces
+// the player's own error).
 func (c *Coordinator) Recv(ctx context.Context, j int) (Msg, error) {
 	f, err := c.links[j].Recv(ctx)
 	if err != nil {
@@ -341,17 +319,6 @@ func SequentialFanout() RunOption {
 	return func(o *runOpts) { o.seqFanout = true }
 }
 
-// Run executes one protocol in the coordinator model over a throwaway
-// topology built from cfg. Prefer RunOn with a reused Topology when
-// running several protocols against one cluster.
-func Run(ctx context.Context, cfg Config, coord CoordinatorFunc, player PlayerFunc, opts ...RunOption) (Stats, error) {
-	top, err := cfg.Topology()
-	if err != nil {
-		return Stats{}, err
-	}
-	return RunOn(ctx, top, coord, player, opts...)
-}
-
 // RunOn executes one protocol in the coordinator model over top: it opens
 // one transport link per player from the topology's dialer, spawns one
 // goroutine per player running player, executes coord in the calling
@@ -410,17 +377,7 @@ func RunOn(ctx context.Context, top *Topology, coord CoordinatorFunc, player Pla
 	errs := make(chan error, k)
 	var wg sync.WaitGroup
 	for j := 0; j < k; j++ {
-		p := &Player{
-			ID:      j,
-			K:       k,
-			N:       top.N(),
-			Edges:   top.Input(j),
-			View:    top.View(j),
-			Shared:  top.Shared(),
-			Workers: workers,
-			conn:    links[j].B,
-			meter:   meter,
-		}
+		p := &Player{SimPlayer: top.simPlayer(j, workers, meter), conn: links[j].B}
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

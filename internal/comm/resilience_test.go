@@ -35,7 +35,7 @@ func waitGoroutines(t *testing.T, base int) {
 // with the identical bit meter as the fault-free run; loss shows up only
 // in WireBytes and the resilience counters.
 func TestRunOnFaultyCompletesIdentical(t *testing.T) {
-	top := testTopology(t, 6)
+	top := testTopology(t, 8, 6)
 	coord, player := chatter(12)
 	base, err := RunOn(context.Background(), top, coord, player)
 	if err != nil {
@@ -70,7 +70,7 @@ func TestRunOnFaultyCompletesIdentical(t *testing.T) {
 // RunOn — promptly, with no leaked goroutines.
 func TestRunOnFaultyAborts(t *testing.T) {
 	base := runtime.NumGoroutine()
-	top := testTopology(t, 4)
+	top := testTopology(t, 8, 4)
 	coord, player := chatter(12)
 	faulty := transport.Faulty{
 		Inner: transport.Chan{},
@@ -87,7 +87,7 @@ func TestRunOnFaultyAborts(t *testing.T) {
 // link dies mid-session and both sides unwind to ErrSessionAborted.
 func TestRunOnFaultyDisconnectAborts(t *testing.T) {
 	base := runtime.NumGoroutine()
-	top := testTopology(t, 4)
+	top := testTopology(t, 8, 4)
 	coord, player := chatter(50)
 	faulty := transport.Faulty{
 		Inner: transport.Chan{},
@@ -107,7 +107,7 @@ func TestRunOnCancelMidGather(t *testing.T) {
 	for _, d := range testDialers() {
 		t.Run(d.Name(), func(t *testing.T) {
 			base := runtime.NumGoroutine()
-			top := testTopology(t, 4)
+			top := testTopology(t, 8, 4)
 			ctx, cancel := context.WithCancel(context.Background())
 			gathering := make(chan struct{})
 			coord := func(ctx context.Context, c *Coordinator) error {

@@ -47,6 +47,24 @@ type SimPlayerFunc func(p *SimPlayer) (Msg, error)
 // has access to the shared randomness but to no input.
 type RefereeFunc func(shared *xrand.Shared, msgs []Msg) error
 
+// simPlayer fills player j's view of a session over t: identity, input,
+// cached local graph, shared randomness, the resolved worker count, and
+// the session meter (nil for views that meter nothing). Every model's
+// players — coordinator, simultaneous, blackboard, one-way — are built
+// from it.
+func (t *Topology) simPlayer(j, workers int, meter *Meter) SimPlayer {
+	return SimPlayer{
+		ID:      j,
+		K:       t.K(),
+		N:       t.n,
+		Edges:   t.inputs[j],
+		View:    t.View(j),
+		Shared:  t.shared,
+		Workers: workers,
+		meter:   meter,
+	}
+}
+
 // BoardPlayersOn materializes the ordered player views over the topology's
 // cached local graphs for a blackboard run. Simultaneous and one-way runs
 // build their players the same way.
@@ -54,28 +72,10 @@ func BoardPlayersOn(top *Topology) []*SimPlayer {
 	workers := parwork.Workers(top.intra)
 	players := make([]*SimPlayer, top.K())
 	for j := range players {
-		players[j] = &SimPlayer{
-			ID:      j,
-			K:       top.K(),
-			N:       top.N(),
-			Edges:   top.Input(j),
-			View:    top.View(j),
-			Shared:  top.Shared(),
-			Workers: workers,
-		}
+		p := top.simPlayer(j, workers, nil)
+		players[j] = &p
 	}
 	return players
-}
-
-// RunSimultaneous executes one protocol in the simultaneous model over a
-// throwaway topology built from cfg. Prefer RunSimultaneousOn with a
-// reused Topology when running several protocols against one cluster.
-func RunSimultaneous(ctx context.Context, cfg Config, player SimPlayerFunc, referee RefereeFunc) (Stats, error) {
-	top, err := cfg.Topology()
-	if err != nil {
-		return Stats{}, err
-	}
-	return RunSimultaneousOn(ctx, top, player, referee)
 }
 
 // RunSimultaneousOn executes one protocol in the simultaneous model over

@@ -1,6 +1,8 @@
 package comm
 
 import (
+	"errors"
+	"fmt"
 	"sync"
 
 	"tricomm/internal/graph"
@@ -29,15 +31,20 @@ type Topology struct {
 	shared *xrand.Shared
 	cache  *viewCache
 	dial   transport.Dialer // nil means the in-process channel transport
-	intra  int              // requested intra-phase workers; ≤0 defers to env
+	intra  int              // requested intra-phase workers; ≤0 means 1
 }
 
 // NewTopology validates the instance and returns a topology with an empty
 // view cache.
 func NewTopology(n int, inputs [][]wire.Edge, shared *xrand.Shared) (*Topology, error) {
-	cfg := Config{N: n, Inputs: inputs, Shared: shared}
-	if err := cfg.Validate(); err != nil {
-		return nil, err
+	if n < 0 {
+		return nil, fmt.Errorf("comm: negative vertex count %d", n)
+	}
+	if len(inputs) == 0 {
+		return nil, errors.New("comm: no players")
+	}
+	if shared == nil {
+		return nil, errors.New("comm: nil shared randomness")
 	}
 	k := len(inputs)
 	return &Topology{
@@ -106,13 +113,12 @@ func (t *Topology) WithTransport(d transport.Dialer) *Topology {
 
 // WithIntraWorkers returns a topology whose sessions fan per-player hot
 // loops across up to n goroutines (resolved through parwork.Workers at
-// session start, so n ≤ 0 defers to TRICOMM_INTRA_WORKERS). Results and
-// bit accounting are identical at every width — the knob trades only
-// wall clock.
+// session start, so n ≤ 0 means 1). Results and bit accounting are
+// identical at every width — the knob trades only wall clock.
 func (t *Topology) WithIntraWorkers(n int) *Topology {
 	return &Topology{n: t.n, inputs: t.inputs, shared: t.shared, cache: t.cache, dial: t.dial, intra: n}
 }
 
-// IntraWorkers reports the raw intra-phase worker request (≤0 means
-// "resolve from the environment at session start").
+// IntraWorkers reports the raw intra-phase worker request (≤0 means 1,
+// resolved at session start).
 func (t *Topology) IntraWorkers() int { return t.intra }

@@ -27,7 +27,7 @@ func testDialers() []transport.Dialer {
 // every transport frames identically — no matter which transport carries
 // the session.
 func TestRunOnTransportAgnostic(t *testing.T) {
-	top := testTopology(t, 6)
+	top := testTopology(t, 8, 6)
 	coord, player := chatter(12)
 	base, err := RunOn(context.Background(), top, coord, player)
 	if err != nil {
@@ -53,7 +53,7 @@ func TestRunOnTransportAgnostic(t *testing.T) {
 // traffic is small enough to enumerate: every metered message is one frame
 // of HeaderBytes + ceil(bits/8) wire bytes.
 func TestWireBytesExact(t *testing.T) {
-	top := testTopology(t, 2)
+	top := testTopology(t, 8, 2)
 	var reqBits, repBits int
 	coord := func(ctx context.Context, c *Coordinator) error {
 		var w wire.Writer
@@ -122,7 +122,7 @@ func TestCheckWire(t *testing.T) {
 func TestShutdownOverSocketTransports(t *testing.T) {
 	for _, d := range []transport.Dialer{transport.Net{}, transport.Net{TCP: true}} {
 		t.Run(d.Name(), func(t *testing.T) {
-			top := testTopology(t, 3)
+			top := testTopology(t, 8, 3)
 			done := make(chan error, 1)
 			go func() {
 				_, err := RunOn(context.Background(), top.WithTransport(d),
@@ -149,7 +149,7 @@ func TestShutdownOverSocketTransports(t *testing.T) {
 // TestCancellationOverTCP pins that context cancellation unblocks a
 // session whose links are real sockets (read-deadline plumbing).
 func TestCancellationOverTCP(t *testing.T) {
-	top := testTopology(t, 2)
+	top := testTopology(t, 8, 2)
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
 	go func() {

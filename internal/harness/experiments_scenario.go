@@ -113,7 +113,7 @@ func ScenarioTable(ctx context.Context, cfg RunConfig, js service.JobSpec) (*Tab
 			r.Bits, r.WireBytes, r.Rounds, r.CertEps)
 	}
 	t.AddNote("spec: %s", js.Graph.JSON())
-	t.AddNote("k=%d scheme=%s transport=%s (seed-exact with tricomm.RunScenario and tricommd jobs)",
+	t.AddNote("k=%d scheme=%s transport=%s (seed-exact with tricommd jobs and GenerateScenario → Cluster → Test)",
 		js.K, js.Partition, js.Transport)
 	// The audit note is deterministic in (spec, seed, trials) only — never
 	// in the worker counts — so checked output stays byte-identical at any

@@ -132,9 +132,9 @@ type RunConfig struct {
 	// are bit-identical at every value (see internal/harness/runner).
 	Jobs int
 	// IntraWorkers fans a single trial's graph kernels (triangle counts,
-	// certificate audits) across goroutines; ≤ 0 defers to
-	// TRICOMM_INTRA_WORKERS, then 1. The parallel kernels are
-	// bit-identical to the serial ones, so tables never depend on it.
+	// certificate audits) across goroutines; ≤ 0 means 1. The parallel
+	// kernels are bit-identical to the serial ones, so tables never
+	// depend on it.
 	IntraWorkers int
 }
 

@@ -175,7 +175,7 @@ type Plan struct {
 	// topology, in order.
 	Testers []func(g *graph.Graph, trial int) Tester
 	// IntraWorkers fans each session's per-player hot loops across up to
-	// this many goroutines (≤ 0 defers to TRICOMM_INTRA_WORKERS). Results
+	// this many goroutines (≤ 0 means 1). Results
 	// are bit-identical at every width, so it composes freely with
 	// trial-level Workers.
 	IntraWorkers int

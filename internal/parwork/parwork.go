@@ -25,41 +25,17 @@
 package parwork
 
 import (
-	"log/slog"
-	"os"
-	"strconv"
 	"sync"
 	"sync/atomic"
 )
 
-// EnvVar is the environment variable consulted when a caller passes a
-// non-positive worker count.
-const EnvVar = "TRICOMM_INTRA_WORKERS"
-
-// envWarned makes the invalid-env warning fire once per process (it is a
-// plain flag, not a sync.Once, so tests can reset it).
-var envWarned atomic.Bool
-
 // Workers resolves an intra-phase worker-count request: an explicit
-// n > 0 wins; otherwise TRICOMM_INTRA_WORKERS; otherwise 1. The default
-// is deliberately serial — trial-level parallelism owns the cores, and
-// intra-phase fan-out only pays when a single large session has the box
-// to itself. An unparseable or non-positive environment value falls back
-// to 1 with a one-time slog warning instead of being silently ignored.
+// n > 0 wins; otherwise 1. The default is deliberately serial —
+// trial-level parallelism owns the cores, and intra-phase fan-out only
+// pays when a single large session has the box to itself.
 func Workers(n int) int {
 	if n > 0 {
 		return n
-	}
-	if s := os.Getenv(EnvVar); s != "" {
-		v, err := strconv.Atoi(s)
-		if err != nil || v < 1 {
-			if envWarned.CompareAndSwap(false, true) {
-				slog.Warn("invalid intra-worker count in environment; using 1",
-					"var", EnvVar, "value", s)
-			}
-			return 1
-		}
-		return v
 	}
 	return 1
 }

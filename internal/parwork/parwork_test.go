@@ -1,8 +1,6 @@
 package parwork
 
 import (
-	"bytes"
-	"log/slog"
 	"math/rand"
 	"sync/atomic"
 	"testing"
@@ -12,45 +10,9 @@ func TestWorkersResolution(t *testing.T) {
 	if got := Workers(3); got != 3 {
 		t.Fatalf("explicit 3: got %d", got)
 	}
-	t.Setenv(EnvVar, "6")
-	if got := Workers(0); got != 6 {
-		t.Fatalf("env 6: got %d", got)
-	}
-	if got := Workers(2); got != 2 {
-		t.Fatalf("explicit beats env: got %d", got)
-	}
-	t.Setenv(EnvVar, "")
-	if got := Workers(0); got != 1 {
-		t.Fatalf("default: got %d", got)
-	}
-}
-
-// TestWorkersInvalidEnvWarnsOnce is the regression test for the resolver
-// silently ignoring an unparseable TRICOMM_INTRA_WORKERS: it must fall
-// back to 1 and warn exactly once per process.
-func TestWorkersInvalidEnvWarnsOnce(t *testing.T) {
-	var buf bytes.Buffer
-	prev := slog.Default()
-	slog.SetDefault(slog.New(slog.NewTextHandler(&buf, nil)))
-	defer slog.SetDefault(prev)
-
-	for _, bad := range []string{"bogus", "0", "-2", "3.5"} {
-		resetEnvWarn()
-		buf.Reset()
-		t.Setenv(EnvVar, bad)
-		if got := Workers(0); got != 1 {
-			t.Fatalf("env %q: got %d workers, want 1", bad, got)
-		}
-		if !bytes.Contains(buf.Bytes(), []byte(EnvVar)) {
-			t.Fatalf("env %q: no warning logged", bad)
-		}
-		// A second resolution must not warn again.
-		buf.Reset()
-		if got := Workers(0); got != 1 {
-			t.Fatalf("env %q second call: got %d workers", bad, got)
-		}
-		if buf.Len() != 0 {
-			t.Fatalf("env %q: warned twice: %s", bad, buf.String())
+	for _, n := range []int{0, -2} {
+		if got := Workers(n); got != 1 {
+			t.Fatalf("default for %d: got %d", n, got)
 		}
 	}
 }

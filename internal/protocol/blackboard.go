@@ -43,16 +43,6 @@ type UnrestrictedBlackboard struct {
 // Name identifies the protocol in logs.
 func (u UnrestrictedBlackboard) Name() string { return "unrestricted-blackboard" }
 
-// Run executes the tester synchronously against a Board over a throwaway
-// topology built from cfg.
-func (u UnrestrictedBlackboard) Run(ctx context.Context, cfg comm.Config) (Result, error) {
-	top, err := cfg.Topology()
-	if err != nil {
-		return Result{}, err
-	}
-	return u.RunOn(ctx, top)
-}
-
 // RunOn executes the tester synchronously against a Board, reusing top's
 // cached player views.
 func (u UnrestrictedBlackboard) RunOn(ctx context.Context, top *comm.Topology) (Result, error) {

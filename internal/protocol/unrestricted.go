@@ -92,16 +92,6 @@ func (u Unrestricted) tunables() UnrestrictedTunables {
 	return t
 }
 
-// Run executes the tester in the coordinator model over a throwaway
-// topology built from cfg.
-func (u Unrestricted) Run(ctx context.Context, cfg comm.Config) (Result, error) {
-	top, err := cfg.Topology()
-	if err != nil {
-		return Result{}, err
-	}
-	return u.RunOn(ctx, top)
-}
-
 // RunOn executes the tester in the coordinator model, reusing top's cached
 // player views.
 func (u Unrestricted) RunOn(ctx context.Context, top *comm.Topology) (Result, error) {

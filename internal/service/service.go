@@ -30,10 +30,9 @@ type Config struct {
 	TrialJobs int
 	// IntraWorkers fans a single trial's hot loops — the session's
 	// per-player sampling/closing scans and the Check ground-truth
-	// audit — across goroutines; ≤ 0 defers to the
-	// TRICOMM_INTRA_WORKERS environment variable, then 1. The parallel
-	// paths are bit-identical to the serial ones, so this only trades
-	// wall-clock for cores on a box whose trial-level pool is idle.
+	// audit — across goroutines; ≤ 0 means 1. The parallel paths are
+	// bit-identical to the serial ones, so this only trades wall-clock
+	// for cores on a box whose trial-level pool is idle.
 	IntraWorkers int
 	// KeepJobs bounds how many finished jobs are retained before the
 	// oldest are collected (default 4096).

@@ -30,7 +30,7 @@ func (g GraphSpec) Generate(rng *rand.Rand) (scenario.Instance, error) {
 // run their trials through it. The caller picks the trial seed (the
 // daemon and harness derive runner.TrialSeed from the job seed) and
 // intraWorkers, which widens the session's hot loops without changing its
-// report (≤ 0: TRICOMM_INTRA_WORKERS, then 1).
+// report (≤ 0 means 1).
 func (s JobSpec) RunTrial(ctx context.Context, inst scenario.Instance, seed uint64, intraWorkers int) (tricomm.Report, error) {
 	scheme, err := tricomm.ParseSplitScheme(s.Partition)
 	if err != nil {

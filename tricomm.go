@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"sync"
 	"time"
 
 	"tricomm/internal/comm"
@@ -64,8 +63,7 @@ func FromEdges(n int, edges []Edge) *Graph { return graph.FromEdges(n, edges) }
 
 // IntraWorkers resolves an intra-trial worker-count request for the
 // parallel graph kernels (Graph.CountTrianglesN, DisjointVeeCountN,
-// FindTriangleN): an explicit n > 0 wins, otherwise the
-// TRICOMM_INTRA_WORKERS environment variable, otherwise 1. The parallel
+// FindTriangleN): an explicit n > 0 wins, otherwise 1. The parallel
 // kernels are bit-identical to their serial forms at any worker count,
 // so the knob only trades wall-clock for cores — it can never change a
 // verdict, witness, or count.
@@ -216,26 +214,12 @@ func (s SplitScheme) partitioner() (partition.Partitioner, error) {
 
 // Cluster is k players holding shares of an n-vertex graph plus the
 // shared randomness — everything needed to run a protocol. The cluster
-// lazily builds one comm.Topology (the players' local graph views) and
+// holds one comm.Topology (whose player views build lazily, once) and
 // reuses it across every Test call and Session, so repeated tests pay the
 // view-construction cost once.
 type Cluster struct {
-	n      int
-	inputs [][]Edge
-	shared *xrand.Shared
-	seed   uint64 // cluster seed; also seeds fault schedules when a spec pins none
-
-	topOnce sync.Once
-	top     *comm.Topology
-	topErr  error
-}
-
-// topology returns the cluster's cached reusable topology.
-func (c *Cluster) topology() (*comm.Topology, error) {
-	c.topOnce.Do(func() {
-		c.top, c.topErr = comm.NewTopology(c.n, c.inputs, c.shared)
-	})
-	return c.top, c.topErr
+	top  *comm.Topology
+	seed uint64 // cluster seed; also seeds fault schedules when a spec pins none
 }
 
 // NewCluster assembles a cluster from explicit per-player edge sets over
@@ -255,7 +239,11 @@ func NewCluster(n int, inputs [][]Edge, seed uint64) (*Cluster, error) {
 			}
 		}
 	}
-	return &Cluster{n: n, inputs: inputs, shared: xrand.New(seed), seed: seed}, nil
+	top, err := comm.NewTopology(n, inputs, xrand.New(seed))
+	if err != nil {
+		return nil, err
+	}
+	return &Cluster{top: top, seed: seed}, nil
 }
 
 // Split divides g's edges among k players under the given scheme.
@@ -269,21 +257,25 @@ func Split(g *Graph, k int, scheme SplitScheme, seed uint64) (*Cluster, error) {
 	}
 	shared := xrand.New(seed)
 	p := pt.Split(g, k, shared)
-	return &Cluster{n: g.N(), inputs: p.Inputs, shared: shared, seed: seed}, nil
+	top, err := comm.NewTopology(g.N(), p.Inputs, shared)
+	if err != nil {
+		return nil, err
+	}
+	return &Cluster{top: top, seed: seed}, nil
 }
 
 // K reports the number of players.
-func (c *Cluster) K() int { return len(c.inputs) }
+func (c *Cluster) K() int { return c.top.K() }
 
 // N reports the vertex universe size.
-func (c *Cluster) N() int { return c.n }
+func (c *Cluster) N() int { return c.top.N() }
 
 // Union materializes the union graph ⋃_j E_j (for inspection; protocols
 // never use it).
 func (c *Cluster) Union() *Graph {
-	b := graph.NewBuilder(c.n)
-	for _, in := range c.inputs {
-		for _, e := range in {
+	b := graph.NewBuilder(c.top.N())
+	for j := 0; j < c.top.K(); j++ {
+		for _, e := range c.top.Input(j) {
 			b.AddEdge(e.U, e.V)
 		}
 	}
@@ -436,7 +428,7 @@ type Options struct {
 	Faults string
 	// IntraWorkers fans a single session's per-player hot loops (candidate
 	// scans, sampling filters, arm closing, sketch scans) across up to this
-	// many goroutines; ≤ 0 defers to TRICOMM_INTRA_WORKERS, default 1.
+	// many goroutines; ≤ 0 means 1.
 	// Reports are bit-identical at every width — the knob trades only wall
 	// clock.
 	IntraWorkers int
@@ -580,10 +572,7 @@ type Session struct {
 // the transport opts selects. The expensive per-player state (the view
 // cache) is shared across transports.
 func (c *Cluster) transportTopology(opts Options) (*comm.Topology, error) {
-	top, err := c.topology()
-	if err != nil {
-		return nil, err
-	}
+	top := c.top
 	if opts.IntraWorkers > 0 {
 		top = top.WithIntraWorkers(opts.IntraWorkers)
 	}
