@@ -386,6 +386,58 @@ func BenchmarkSessionReuse(b *testing.B) {
 	})
 }
 
+// BenchmarkSession measures one metered protocol session per row,
+// repeated on a fixed cluster through a Session, so every iteration
+// carries the same bits/op and the BENCH_N.json gate can pin it exactly.
+// The dense w1/w8 pair runs one instance at intra-widths 1 and 8: their
+// bits/op are identical, so any ns/op gap is pure wall clock.
+func BenchmarkSession(b *testing.B) {
+	rows := []struct {
+		name      string
+		n         int
+		d         float64
+		graphSeed int64
+		k         int
+		splitSeed uint64
+		opts      Options
+	}{
+		{"simlow", 4096, 8, 3, 8, 5,
+			Options{Protocol: SimultaneousLow, Eps: 0.2, AvgDegree: 8}},
+		{"unrestricted", 512, 8, 11, 4, 11,
+			Options{Protocol: Interactive, Eps: 0.2, AvgDegree: 8}},
+		{"unrestricted-dense-w1", 512, 16, 9, 8, 9,
+			Options{Protocol: Interactive, Eps: 0.2, AvgDegree: 16, IntraWorkers: 1}},
+		{"unrestricted-dense-w8", 512, 16, 9, 8, 9,
+			Options{Protocol: Interactive, Eps: 0.2, AvgDegree: 16, IntraWorkers: 8}},
+		{"exact", 1024, 8, 17, 4, 17, Options{Protocol: Exact}},
+	}
+	ctx := context.Background()
+	for _, r := range rows {
+		b.Run(r.name, func(b *testing.B) {
+			g, _ := FarGraph(r.n, r.d, 0.2, r.graphSeed)
+			cluster, err := Split(g, r.k, SplitDisjoint, r.splitSeed)
+			if err != nil {
+				b.Fatal(err)
+			}
+			s, err := cluster.Session(r.opts)
+			if err != nil {
+				b.Fatal(err)
+			}
+			var bits int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				rep, err := s.Test(ctx)
+				if err != nil {
+					b.Fatal(err)
+				}
+				bits += rep.Bits
+			}
+			reportBits(b, bits)
+		})
+	}
+}
+
 // BenchmarkStreaming_Probe measures the §4.2.2 corollary: success of the
 // space-bounded streaming detector at the n^{1/4} space scale.
 func BenchmarkStreaming_Probe(b *testing.B) {

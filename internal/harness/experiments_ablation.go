@@ -67,8 +67,8 @@ func e12Behrend() Experiment {
 					Gen:          b.mk,
 					Partitioner:  partition.Disjoint{},
 					K:            4,
-					Testers: []func(g *graph.Graph, trial int) runner.Tester{
-						func(g *graph.Graph, trial int) runner.Tester {
+					Testers: []func(g *graph.Graph, trial int) protocol.Tester{
+						func(g *graph.Graph, trial int) protocol.Tester {
 							if b.proto == "sim-high" {
 								return protocol.SimHigh{Eps: 1.0 / 3, AvgDegree: g.AvgDegree(), Delta: 0.1,
 									Tag: fmt.Sprintf("e12/%s/%d", b.genName, trial)}
@@ -123,8 +123,8 @@ func e13Bucketing() Experiment {
 					Gen:          gen,
 					Partitioner:  partition.Disjoint{},
 					K:            4,
-					Testers: []func(g *graph.Graph, trial int) runner.Tester{
-						func(g *graph.Graph, trial int) runner.Tester {
+					Testers: []func(g *graph.Graph, trial int) protocol.Tester{
+						func(g *graph.Graph, trial int) protocol.Tester {
 							if tc == "bucketed" {
 								return protocol.Unrestricted{Eps: g.FarnessLowerBound(), AvgDegree: g.AvgDegree(),
 									Tag: fmt.Sprintf("e13b/%d", trial)}

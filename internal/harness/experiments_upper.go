@@ -23,7 +23,7 @@ import (
 // derivation (runner.TrialSeed), keeping tables bit-identical to the
 // pre-runner sequential harness.
 func planFor(cfg RunConfig, trials int, gen func(rng *rand.Rand) *graph.Graph,
-	pt partition.Partitioner, k int, mks ...func(g *graph.Graph, trial int) runner.Tester) runner.Plan {
+	pt partition.Partitioner, k int, mks ...func(g *graph.Graph, trial int) protocol.Tester) runner.Plan {
 	return runner.Plan{
 		Trials:       trials,
 		Seed:         func(trial int) uint64 { return runner.TrialSeed(cfg.Seed, trial) },
@@ -104,7 +104,7 @@ func e1Unrestricted() Experiment {
 			plans := make([]runner.Plan, len(points))
 			for pi, p := range points {
 				plans[pi] = planFor(cfg, trials, farGen(p.n, d, eps), partition.Disjoint{}, p.k,
-					func(g *graph.Graph, trial int) runner.Tester {
+					func(g *graph.Graph, trial int) protocol.Tester {
 						return protocol.Unrestricted{Eps: eps, AvgDegree: g.AvgDegree(),
 							Tag: fmt.Sprintf("%s/%d", p.tag, trial)}
 					})
@@ -151,7 +151,7 @@ func e2aSimLow() Experiment {
 			plans := make([]runner.Plan, len(ns))
 			for ni, n := range ns {
 				plans[ni] = planFor(cfg, trials, farGen(n, d, eps), partition.Disjoint{}, k,
-					func(g *graph.Graph, trial int) runner.Tester {
+					func(g *graph.Graph, trial int) protocol.Tester {
 						return protocol.SimLow{Eps: eps, AvgDegree: g.AvgDegree(), Delta: 0.1,
 							Tag: fmt.Sprintf("e2a/%d/%d", n, trial)}
 					})
@@ -195,7 +195,7 @@ func e2bSimHigh() Experiment {
 			plans := make([]runner.Plan, len(ns))
 			for ni, n := range ns {
 				plans[ni] = planFor(cfg, trials, farGen(n, degree(n), eps), partition.Disjoint{}, k,
-					func(g *graph.Graph, trial int) runner.Tester {
+					func(g *graph.Graph, trial int) protocol.Tester {
 						return protocol.SimHigh{Eps: eps, AvgDegree: g.AvgDegree(), Delta: 0.1,
 							Tag: fmt.Sprintf("e2b/%d/%d", n, trial)}
 					})
@@ -251,11 +251,11 @@ func e2cOblivious() Experiment {
 			for pi, p := range points {
 				// One topology per trial serves both testers.
 				plans[pi] = planFor(cfg, trials, farGen(p.n, p.d, eps), partition.Disjoint{}, k,
-					func(g *graph.Graph, trial int) runner.Tester {
+					func(g *graph.Graph, trial int) protocol.Tester {
 						return protocol.SimOblivious{Eps: eps, Delta: 0.1,
 							Tag: fmt.Sprintf("e2c/%s/%d/%d", p.regime, p.n, trial)}
 					},
-					func(g *graph.Graph, trial int) runner.Tester {
+					func(g *graph.Graph, trial int) protocol.Tester {
 						if p.regime == "low" {
 							return protocol.SimLow{Eps: eps, AvgDegree: g.AvgDegree(), Delta: 0.1,
 								Tag: fmt.Sprintf("e2ca/%d/%d", p.n, trial)}
@@ -297,12 +297,12 @@ func e7TestingVsExact() Experiment {
 				n, d := p[0], float64(p[1])
 				// All three testers share each trial's instance and topology.
 				plans[pi] = planFor(cfg, trials, farGen(n, d, eps), partition.Disjoint{}, 4,
-					func(g *graph.Graph, trial int) runner.Tester { return protocol.ExactBaseline{} },
-					func(g *graph.Graph, trial int) runner.Tester {
+					func(g *graph.Graph, trial int) protocol.Tester { return protocol.ExactBaseline{} },
+					func(g *graph.Graph, trial int) protocol.Tester {
 						return protocol.Unrestricted{Eps: eps, AvgDegree: g.AvgDegree(),
 							Tag: fmt.Sprintf("e7u/%d/%d", n, trial)}
 					},
-					func(g *graph.Graph, trial int) runner.Tester {
+					func(g *graph.Graph, trial int) protocol.Tester {
 						return protocol.SimOblivious{Eps: eps, Delta: 0.1,
 							Tag: fmt.Sprintf("e7s/%d/%d", n, trial)}
 					})
@@ -341,11 +341,11 @@ func e8Blackboard() Experiment {
 				// Coordinator and blackboard variants share each trial's
 				// instance and topology.
 				plans[ki] = planFor(cfg, trials, farGen(n, d, eps), partition.Duplicate{Q: 0.5}, k,
-					func(g *graph.Graph, trial int) runner.Tester {
+					func(g *graph.Graph, trial int) protocol.Tester {
 						return protocol.Unrestricted{Eps: eps, AvgDegree: g.AvgDegree(),
 							Tag: fmt.Sprintf("e8c/%d/%d", k, trial)}
 					},
-					func(g *graph.Graph, trial int) runner.Tester {
+					func(g *graph.Graph, trial int) protocol.Tester {
 						return protocol.UnrestrictedBlackboard{Eps: eps, AvgDegree: g.AvgDegree(),
 							Tag: fmt.Sprintf("e8b/%d/%d", k, trial)}
 					})
@@ -491,8 +491,8 @@ func e10NoDup() Experiment {
 					},
 					Partitioner: b.pt,
 					K:           k,
-					Testers: []func(g *graph.Graph, trial int) runner.Tester{
-						func(g *graph.Graph, trial int) runner.Tester {
+					Testers: []func(g *graph.Graph, trial int) protocol.Tester{
+						func(g *graph.Graph, trial int) protocol.Tester {
 							if b.proto == "sim-low" {
 								return protocol.SimLow{Eps: eps, AvgDegree: g.AvgDegree(), Delta: 0.1,
 									Tag: fmt.Sprintf("e10/%s/%d", b.pt.Name(), trial)}

@@ -147,13 +147,6 @@ func MapArena[T any](ctx context.Context, jobs, n int, fn func(ctx context.Conte
 	return out, nil
 }
 
-// Tester is a protocol bound to its tunables, runnable over a reusable
-// topology (the shape all the protocol structs satisfy).
-type Tester interface {
-	Name() string
-	RunOn(ctx context.Context, top *comm.Topology) (protocol.Result, error)
-}
-
 // Plan declares one sweep point's trials in the harness's canonical
 // shape: draw an instance, split it once, and run every tester over the
 // shared topology so per-player views are built once per trial instead
@@ -173,7 +166,7 @@ type Plan struct {
 	K int
 	// Testers construct the protocols to run on the trial's shared
 	// topology, in order.
-	Testers []func(g *graph.Graph, trial int) Tester
+	Testers []func(g *graph.Graph, trial int) protocol.Tester
 	// IntraWorkers fans each session's per-player hot loops across up to
 	// this many goroutines (≤ 0 means 1). Results
 	// are bit-identical at every width, so it composes freely with
@@ -225,32 +218,13 @@ func (p Plan) runTrialInto(ctx context.Context, a *Arena, trial int, row []Trial
 	return nil
 }
 
-// Run executes the plan's trials over `jobs` workers and returns the
-// results indexed [trial][tester]. All result cells live in one flat
-// preallocated backing array (trials × testers), so the per-trial row
-// allocation of the naive shape never happens.
-func (p Plan) Run(ctx context.Context, jobs int) ([][]TrialResult, error) {
-	cells := make([]TrialResult, p.Trials*len(p.Testers))
-	rows, err := MapArena(ctx, jobs, p.Trials, func(ctx context.Context, a *Arena, trial int) ([]TrialResult, error) {
-		row := cells[trial*len(p.Testers) : (trial+1)*len(p.Testers)]
-		if err := p.runTrialInto(ctx, a, trial, row); err != nil {
-			return nil, err
-		}
-		return row, nil
-	})
-	if err != nil {
-		return nil, err
-	}
-	return rows, nil
-}
-
 // RunPlans executes several plans — typically one per sweep point — by
 // flattening every (plan, trial) pair onto ONE shared worker pool, so
 // total in-flight work never exceeds `jobs` no matter how many points a
 // sweep has (nested pools would multiply to jobs² workers and thrash
 // the scheduler). Results are indexed [plan][trial][tester]; the
-// determinism contract of Map applies unchanged. As in Plan.Run, every
-// result cell lives in one flat backing array sized up front.
+// determinism contract of Map applies unchanged. Every result cell lives
+// in one flat backing array sized up front.
 func RunPlans(ctx context.Context, jobs int, plans []Plan) ([][][]TrialResult, error) {
 	type coord struct {
 		plan, trial int

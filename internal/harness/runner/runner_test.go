@@ -125,25 +125,26 @@ func TestPlanDeterministicAcrossJobs(t *testing.T) {
 		},
 		Partitioner: partition.Disjoint{},
 		K:           3,
-		Testers: []func(g *graph.Graph, trial int) Tester{
-			func(g *graph.Graph, trial int) Tester {
+		Testers: []func(g *graph.Graph, trial int) protocol.Tester{
+			func(g *graph.Graph, trial int) protocol.Tester {
 				return protocol.SimOblivious{Eps: 0.25, Delta: 0.1,
 					Tag: fmt.Sprintf("det/%d", trial)}
 			},
-			func(g *graph.Graph, trial int) Tester {
+			func(g *graph.Graph, trial int) protocol.Tester {
 				return protocol.Unrestricted{Eps: 0.25, AvgDegree: g.AvgDegree(),
 					Tag: fmt.Sprintf("detu/%d", trial)}
 			},
 		},
 	}
-	seq, err := plan.Run(context.Background(), 1)
+	seqs, err := RunPlans(context.Background(), 1, []Plan{plan})
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := plan.Run(context.Background(), 8)
+	pars, err := RunPlans(context.Background(), 8, []Plan{plan})
 	if err != nil {
 		t.Fatal(err)
 	}
+	seq, par := seqs[0], pars[0]
 	if !reflect.DeepEqual(seq, par) {
 		t.Fatalf("plan results differ across worker counts:\nseq: %+v\npar: %+v", seq, par)
 	}

@@ -25,6 +25,7 @@
 package protocol
 
 import (
+	"context"
 	"fmt"
 
 	"tricomm/internal/comm"
@@ -72,3 +73,10 @@ type Result struct {
 
 // Found reports whether the run exhibited a triangle.
 func (r Result) Found() bool { return r.Verdict == FoundTriangle }
+
+// Tester is a protocol bound to its tunables, runnable over a reusable
+// topology: the shape every tester in this package satisfies.
+type Tester interface {
+	Name() string
+	RunOn(ctx context.Context, top *comm.Topology) (Result, error)
+}

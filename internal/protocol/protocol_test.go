@@ -12,12 +12,6 @@ import (
 	"tricomm/internal/xrand"
 )
 
-// Tester is the common interface all protocols in this package satisfy.
-type Tester interface {
-	Name() string
-	RunOn(ctx context.Context, top *comm.Topology) (Result, error)
-}
-
 var (
 	_ Tester = Unrestricted{}
 	_ Tester = UnrestrictedBlackboard{}

@@ -7,8 +7,8 @@ import (
 
 // BenchmarkBuild measures every registry family's generation hot path at
 // its default parameters, with allocation reporting — the scenario
-// layer's entry in the BENCH_N.json perf trajectory (cmd/benchjson
-// mirrors the four newest families).
+// layer's entry in the BENCH_N.json perf trajectory, one
+// internal/scenario/Build/<family> row per family.
 func BenchmarkBuild(b *testing.B) {
 	for _, f := range Families() {
 		b.Run(f.Name, func(b *testing.B) {

@@ -485,15 +485,8 @@ type Report struct {
 // an unsound verdict; it either completes or fails with this error.
 var ErrSessionAborted = comm.ErrSessionAborted
 
-// runner is a protocol bound to options, runnable over a reusable
-// topology.
-type runner interface {
-	Name() string
-	RunOn(ctx context.Context, top *comm.Topology) (protocol.Result, error)
-}
-
-// runner maps the selected protocol to its implementation.
-func (o Options) runner() (runner, error) {
+// tester maps the selected protocol to its implementation.
+func (o Options) tester() (protocol.Tester, error) {
 	switch o.Protocol {
 	case Interactive:
 		return protocol.Unrestricted{Eps: o.Eps, AvgDegree: o.AvgDegree,
@@ -545,7 +538,7 @@ func report(name string, res protocol.Result) Report {
 // seed: calling Test twice with the same options returns the same report.
 func (c *Cluster) Test(ctx context.Context, opts Options) (Report, error) {
 	opts = opts.withDefaults()
-	p, err := opts.runner()
+	p, err := opts.tester()
 	if err != nil {
 		return Report{}, err
 	}
@@ -564,7 +557,7 @@ func (c *Cluster) Test(ctx context.Context, opts Options) (Report, error) {
 // cached per-player views above all — materialized up front, for running
 // many tests against one cluster at minimal per-call cost.
 type Session struct {
-	p   runner
+	p   protocol.Tester
 	top *comm.Topology
 }
 
@@ -603,7 +596,7 @@ func (c *Cluster) transportTopology(opts Options) (*comm.Topology, error) {
 // eagerly materializes the cluster's player views.
 func (c *Cluster) Session(opts Options) (*Session, error) {
 	opts = opts.withDefaults()
-	p, err := opts.runner()
+	p, err := opts.tester()
 	if err != nil {
 		return nil, err
 	}
